@@ -23,8 +23,9 @@ bench:
 # Fast CI smoke for the annealing hot path: one fig7b cell at N = 500,
 # seed solver vs cached-incremental, emitting BENCH_jsp.json; then the
 # engine rows at l = 2, 3, 5 (BENCH_multiclass.json), whose l = 2 select
-# must stay within 5% of the direct binary solver; then short gated
-# serving rows at 1/2/4 domains (BENCH_serve.json) — the gate fails on
+# over symmetric 2x2 matrices must stay within 5% of the same pool given
+# as scalars (the matrices must lower onto the binary fast path); then
+# short gated serving rows at 1/2/4 domains (BENCH_serve.json) — the gate fails on
 # any request error or on multi-domain speedup below the core-aware
 # threshold (1.3 with >= 2 cores, 0.8 parity floor on 1 core); then the
 # gated flat-vs-hashtbl kernel grid (BENCH_jq.json), which fails unless
@@ -60,8 +61,9 @@ bench-jq:
 	dune exec bench/jq_bench.exe -- --gate
 
 # Engine jq throughput and select latency at l = 2, 3 and 5, written to
-# BENCH_multiclass.json.  Exits nonzero when the l = 2 row regresses more
-# than 5% against solve_optjs on the same fig7b workload.
+# BENCH_multiclass.json.  Exits nonzero when the l = 2 row, the fig7b
+# workload given as symmetric 2x2 matrices, is more than 5% slower than
+# the same pool given as scalars.
 bench-multiclass:
 	dune exec bench/main.exe -- --multiclass
 

@@ -294,7 +294,7 @@ let table_cmd =
                       (Expt.Parallel.recommended_domains ()))
                  (fun budget ->
                    let result =
-                     Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha ~budget
+                     Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha ~budget
                        pool
                    in
                    {
@@ -412,7 +412,7 @@ let frontier_cmd =
     in
     if Workers.Pool.size pool > Jsp.Enumerate.max_pool then
       failwith "exact frontier needs a pool of at most 20 workers";
-    let points = Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha pool in
+    let points = Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha pool in
     Format.printf "%a" Jsp.Frontier.pp points
   in
   Cmd.v

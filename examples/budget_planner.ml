@@ -38,13 +38,13 @@ let () =
 
   (* 3. The special cases the lemmas solve outright. *)
   let volunteers = Workers.Generator.free_pool rng Workers.Generator.default 25 in
-  (match Jsp.Special.solve (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0. volunteers with
+  (match Jsp.Special.solve (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0. volunteers with
   | Some r ->
       Format.printf "Volunteers (all free): Lemma 1 selects everyone -> JQ %.4f@."
         r.Jsp.Solver.score
   | None -> assert false);
   let flat = Workers.Generator.uniform_cost_pool rng Workers.Generator.default ~cost:0.1 25 in
-  (match Jsp.Special.solve (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0.55 flat with
+  (match Jsp.Special.solve (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0.55 flat with
   | Some r ->
       Format.printf
         "Uniform cost 0.1, budget 0.55: Lemma 2 takes the top-%d by quality -> JQ %.4f@.@."
@@ -55,10 +55,10 @@ let () =
   (* 4. The exact Pareto frontier on a committee-sized subset: every
      cost/quality trade-off at once, not just the sampled ladder. *)
   let committee = Workers.Pool.take 14 (Workers.Pool.sorted_by_cost pool) in
-  let frontier = Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha:0.5 committee in
+  let frontier = Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha:0.5 committee in
   Format.printf "Exact budget-quality frontier of the 14 cheapest workers (%d points):@."
     (List.length frontier);
-  Format.printf "%a@." Jsp.Frontier.pp (Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha:0.5 (Workers.Pool.take 8 committee));
+  Format.printf "%a@." Jsp.Frontier.pp (Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha:0.5 (Workers.Pool.take 8 committee));
   (match Jsp.Frontier.cheapest_for frontier ~quality:0.9 with
   | Some p ->
       Format.printf "Cheapest committee jury reaching 90%%: cost %.3f, JQ %.4f@.@."

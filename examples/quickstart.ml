@@ -23,13 +23,13 @@ let () =
   (* 2. The budget-quality table (Figure 1, right). *)
   let table =
     Jsp.Table.build ~budgets:[ 5.; 10.; 15.; 20. ] pool ~solve:(fun ~budget pool ->
-        Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool)
+        Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool)
   in
   Format.printf "Budget-quality table:@.%a@." Jsp.Table.pp table;
 
   (* 3. The task provider picks budget 15; collect votes and aggregate. *)
   let chosen =
-    (Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:15. pool)
+    (Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:15. pool)
       .Jsp.Solver.jury
   in
   Format.printf "Chosen jury at budget 15: %a (cost %g)@.@." Workers.Pool.pp chosen

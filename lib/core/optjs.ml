@@ -3,20 +3,17 @@ type config = { num_buckets : int; annealing : Jsp.Annealing.params }
 let default_config =
   { num_buckets = Jq.Bucket.default_num_buckets; annealing = Jsp.Annealing.default_params }
 
+let objective config =
+  Engine.Objective.bv_bucket ~num_buckets:config.num_buckets ()
+
 let jury_quality ?(config = default_config) ~alpha jury =
-  if Workers.Pool.is_empty jury then Float.max alpha (1. -. alpha)
-  else
-    Jq.Bucket.estimate ~num_buckets:config.num_buckets ~alpha
-      (Workers.Pool.qualities jury)
+  Engine.Objective.score_workers (objective config) ~alpha jury
 
 let jury_quality_exact ~alpha jury =
-  if Workers.Pool.is_empty jury then Float.max alpha (1. -. alpha)
-  else Jq.Exact.jq_optimal ~alpha ~qualities:(Workers.Pool.qualities jury)
+  Engine.Objective.score_workers Engine.Objective.bv_exact ~alpha jury
 
 let jury_quality_of strategy ~alpha jury =
   Jq.Exact.jq strategy ~alpha ~qualities:(Workers.Pool.qualities jury)
-
-let objective config = Jsp.Objective.bv_bucket ~num_buckets:config.num_buckets ()
 
 let select_jury ?(config = default_config) ~rng ~alpha ~budget pool =
   let objective = objective config in
@@ -24,11 +21,15 @@ let select_jury ?(config = default_config) ~rng ~alpha ~budget pool =
   | Some result -> result
   | None ->
       let annealed =
-        Jsp.Annealing.solve_optjs ~params:config.annealing
-          ~num_buckets:config.num_buckets ~rng ~alpha ~budget pool
+        Jsp.Annealing.solve_engine ~params:config.annealing
+          ~num_buckets:config.num_buckets ~rng
+          ~task:(Engine.Task.binary ~alpha) ~budget
+          (Engine.Pool.of_workers pool)
       in
       let greedy = Jsp.Greedy.best_of_all objective ~alpha ~budget pool in
-      Jsp.Solver.best annealed greedy
+      Jsp.Solver.best
+        (Jsp.Solver.map_jury Engine.Pool.to_workers_exn annealed)
+        greedy
 
 let select_jury_exact ?(config = default_config) ~alpha ~budget pool =
   Jsp.Enumerate.solve (objective config) ~alpha ~budget pool

@@ -1,13 +1,35 @@
-type t = { name : string; score : task:Task.t -> Pool.t -> float }
+type accumulator = {
+  add : int -> unit;
+  remove : int -> unit;
+  value : unit -> float;
+}
+
+type t = {
+  name : string;
+  score : task:Task.t -> Pool.t -> float;
+  accumulate : (alpha:float -> float array -> accumulator) option;
+      (* Fresh accumulator over a binary pool's qualities, by position. *)
+}
 
 let name t = t.name
 let score t = t.score
+
+let score_workers t ~alpha =
+  let task = Task.binary ~alpha in
+  fun jury -> t.score ~task (Pool.of_workers jury)
 
 let check_labels ~what ~task pool =
   if Pool.labels pool <> Task.labels task then
     invalid_arg
       (Printf.sprintf "%s: pool has %d labels but task has %d" what
          (Pool.labels pool) (Task.labels task))
+
+let accumulator t ~task pool =
+  match (t.accumulate, Pool.repr pool) with
+  | Some make, Pool.Binary p ->
+      check_labels ~what:"Engine.Objective.accumulator" ~task pool;
+      Some (make ~alpha:(Task.alpha task) (Workers.Pool.qualities p))
+  | _ -> None
 
 let bv_bucket ?num_buckets ?workspace () =
   {
@@ -25,6 +47,60 @@ let bv_bucket ?num_buckets ?workspace () =
               Jq.Multiclass_jq.estimate_bv ?workspace ?num_buckets
                 ~prior:(Task.prior task) jury
         end);
+    accumulate = None;
+  }
+
+let bv_bucket_incremental ?(num_buckets = Jq.Bucket.default_num_buckets)
+    ?workspace () =
+  {
+    (bv_bucket ~num_buckets ?workspace ()) with
+    name = "BV/bucket-incr";
+    accumulate =
+      Some
+        (fun ~alpha qualities ->
+          let acc =
+            Jq.Incremental.create ~num_buckets:(2 * num_buckets) ~alpha ()
+          in
+          {
+            add = (fun i -> Jq.Incremental.add_worker acc qualities.(i));
+            remove = (fun i -> Jq.Incremental.remove_worker acc qualities.(i));
+            value = (fun () -> Jq.Incremental.value acc);
+          });
+  }
+
+let mv_closed =
+  {
+    name = "MV/closed";
+    score =
+      (fun ~task pool ->
+        check_labels ~what:"Engine.Objective.mv_closed" ~task pool;
+        match Pool.repr pool with
+        | Pool.Binary p ->
+            Jq.Mv_closed.jq ~alpha:(Task.alpha task)
+              ~qualities:(Workers.Pool.qualities p)
+        | Pool.Matrix _ ->
+            invalid_arg "Engine.Objective.mv_closed: matrix pools unsupported");
+    accumulate = None;
+  }
+
+let mv_closed_incremental =
+  {
+    mv_closed with
+    name = "MV/closed-incr";
+    accumulate =
+      Some
+        (fun ~alpha qualities ->
+          let pb = Prob.Poisson_binomial.Incremental.create () in
+          {
+            add = (fun i -> Prob.Poisson_binomial.Incremental.add pb qualities.(i));
+            remove =
+              (fun i -> Prob.Poisson_binomial.Incremental.remove pb qualities.(i));
+            value =
+              (fun () ->
+                Jq.Mv_closed.jq_from_tail ~alpha
+                  ~n:(Prob.Poisson_binomial.Incremental.size pb)
+                  ~tail:(Prob.Poisson_binomial.Incremental.tail_at_least pb));
+          });
   }
 
 type scored = { score : float; bound : float; flat_fallbacks : int }
@@ -76,6 +152,7 @@ let bv_exact_capped ?cap () =
               Jq.Multiclass_jq.jq_exact ?cap Voting.Multiclass.bayesian
                 ~prior:(Task.prior task) ~jury
         end);
+    accumulate = None;
   }
 
 let bv_exact = bv_exact_capped ()

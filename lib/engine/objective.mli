@@ -1,16 +1,45 @@
-(** Model-polymorphic JQ objectives.
+(** Model-polymorphic JQ objectives — the one quantity every jury-selection
+    solver maximizes.
 
     One objective scores any {!Pool} under any {!Task}, dispatching on the
     pool's representation: [Binary] pools go through the dense binary stack
-    ({!Jq.Bucket.estimate} / {!Jq.Exact.jq_optimal}, bitwise identical to
-    {!Jsp.Objective}'s scores), [Matrix] pools through §7's tuple-key
-    machinery ({!Jq.Multiclass_jq}).  Empty juries score
-    {!Task.empty_score} in either representation. *)
+    ({!Jq.Bucket.estimate} / {!Jq.Exact.jq_optimal} / {!Jq.Mv_closed.jq}),
+    [Matrix] pools through §7's tuple-key machinery ({!Jq.Multiclass_jq}).
+    Empty juries score {!Task.empty_score} under BV in either
+    representation.
+
+    Scoring is always available from scratch ({!score}).  An incremental
+    objective also carries an {!accumulator} for binary pools: a
+    per-search state that folds members in and out in O(state) instead of
+    re-running the full JQ computation — the annealer's hot path, whose
+    moves change one or two members at a time.  Whether a solve scores
+    incrementally is therefore decided by the objective, not by the
+    caller. *)
 
 type t
 
 val name : t -> string
 val score : t -> task:Task.t -> Pool.t -> float
+
+val score_workers : t -> alpha:float -> Workers.Pool.t -> float
+(** {!score} of a scalar-quality jury under the binary task with prior
+    [alpha] — the view of the binary paper-path solvers (greedy,
+    exhaustive, beam, …).  Partially applied to [alpha] it builds the task
+    once.  @raise Invalid_argument when [alpha] lies outside [0, 1]. *)
+
+(** An incremental scorer over one pool's positions. *)
+type accumulator = {
+  add : int -> unit;     (** Fold the pool's member at this position in. *)
+  remove : int -> unit;  (** Take it back out. *)
+  value : unit -> float;
+      (** JQ estimate of the current members, on the accumulator's own
+          scale (final juries are re-scored with {!score}). *)
+}
+
+val accumulator : t -> task:Task.t -> Pool.t -> accumulator option
+(** A fresh empty-jury accumulator over [pool], when [t] carries one for
+    that pool — the incremental objectives on binary pools — and [None]
+    when [pool] must be scored from scratch. *)
 
 val bv_bucket : ?num_buckets:int -> ?workspace:Jq.Workspace.t -> unit -> t
 (** JQ under Bayesian Voting by the bucket approximation — Algorithm 1 for
@@ -21,6 +50,27 @@ val bv_bucket : ?num_buckets:int -> ?workspace:Jq.Workspace.t -> unit -> t
     evaluation reuses the calling domain's workspace.
     @raise Invalid_argument when a non-empty pool's label count differs
     from the task's. *)
+
+val bv_bucket_incremental :
+  ?num_buckets:int -> ?workspace:Jq.Workspace.t -> unit -> t
+(** OPTJS: {!bv_bucket}'s scores, plus a {!Jq.Incremental} accumulator on
+    binary pools (O(|map|) per add/remove).  The accumulator runs at twice
+    [num_buckets]: its fixed global bucket width divides the logit cap
+    φ(0.99), roughly twice the jury maximum {!Jq.Bucket} divides by, so
+    doubling the count matches the effective width.  Its values agree with
+    {!bv_bucket}'s within the two constructions' combined §4.4 error
+    bounds. *)
+
+val mv_closed : t
+(** MVJS: exact JQ(J, MV, α) in closed form ([7]'s polynomial
+    computation); the empty jury scores 1 − α (MV answers 1).  Binary
+    pools only.  @raise Invalid_argument on a matrix pool or a non-binary
+    task. *)
+
+val mv_closed_incremental : t
+(** {!mv_closed}'s scores, plus a {!Prob.Poisson_binomial.Incremental}
+    accumulator on binary pools: O(k) per add/remove, exact up to float
+    drift (guarded by periodic rebuilds). *)
 
 type scored = {
   score : float;  (** The JQ estimate — identical to {!score} of {!bv_bucket}. *)

@@ -93,6 +93,10 @@ let to_workers = function
   | Binary p -> Some p
   | Matrix _ -> None
 
+let to_workers_exn = function
+  | Binary p -> p
+  | Matrix _ -> invalid_arg "Engine.Pool.to_workers_exn: matrix pool"
+
 let to_confusions = function
   | Binary p ->
       Array.map Workers.Confusion.of_binary (Workers.Pool.to_array p)

@@ -52,6 +52,11 @@ val sub : t -> bool array -> t
 val to_workers : t -> Workers.Pool.t option
 (** The scalar pool when the representation is [Binary]. *)
 
+val to_workers_exn : t -> Workers.Pool.t
+(** {!to_workers} for pools known to be binary — a jury the annealer
+    returned for an {!of_workers} pool.
+    @raise Invalid_argument on a [Matrix] pool. *)
+
 val to_confusions : t -> Workers.Confusion.t array
 (** Matrix view of any pool; binary workers embed via
     {!Workers.Confusion.of_binary}. *)

@@ -8,15 +8,17 @@ let mean_of xs = Prob.Stats.mean (Array.of_list xs)
 let solver_comparison ?(config = Config.default) () =
   let rng = Config.rng config in
   let n = 12 in
-  let objective = Jsp.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let objective = Engine.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let task = Engine.Task.binary ~alpha:config.alpha in
   let solvers =
     [
       ( "exact",
         fun ~budget pool _rng -> Jsp.Enumerate.solve objective ~alpha:config.alpha ~budget pool );
       ( "anneal",
         fun ~budget pool rng ->
-          Jsp.Annealing.solve ~params:config.annealing objective ~rng
-            ~alpha:config.alpha ~budget pool );
+          Jsp.Solver.map_jury Engine.Pool.to_workers_exn
+            (Jsp.Annealing.solve_engine ~params:config.annealing ~objective
+               ~rng ~task ~budget (Engine.Pool.of_workers pool)) );
       ( "beam32",
         fun ~budget pool _rng ->
           Jsp.Beam.solve ~width:32 objective ~alpha:config.alpha ~budget pool );
@@ -107,7 +109,8 @@ let bucket_resolution ?(config = Config.default) () =
 let keep_best ?(config = Config.default) () =
   let rng = Config.rng config in
   let n = 11 in
-  let objective = Jsp.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let objective = Engine.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let task = Engine.Task.binary ~alpha:config.alpha in
   let rows =
     List.map
       (fun budget ->
@@ -118,18 +121,14 @@ let keep_best ?(config = Config.default) () =
                 (Jsp.Enumerate.solve objective ~alpha:config.alpha ~budget pool)
                   .Jsp.Solver.score
               in
-              let with_memory =
-                (Jsp.Annealing.solve
-                   ~params:{ config.annealing with keep_best = true }
-                   objective ~rng:(Prob.Rng.copy r) ~alpha:config.alpha ~budget pool)
+              let anneal ~keep_best rng =
+                (Jsp.Annealing.solve_engine
+                   ~params:{ config.annealing with keep_best }
+                   ~objective ~rng ~task ~budget (Engine.Pool.of_workers pool))
                   .Jsp.Solver.score
               in
-              let without =
-                (Jsp.Annealing.solve
-                   ~params:{ config.annealing with keep_best = false }
-                   objective ~rng:r ~alpha:config.alpha ~budget pool)
-                  .Jsp.Solver.score
-              in
+              let with_memory = anneal ~keep_best:true (Prob.Rng.copy r) in
+              let without = anneal ~keep_best:false r in
               (star -. with_memory, star -. without))
         in
         [

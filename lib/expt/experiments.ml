@@ -29,7 +29,7 @@ let fig1 ?config:_ () =
   let pool = Workers.Generator.figure1_pool () in
   let table =
     Jsp.Table.build ~budgets:[ 5.; 10.; 15.; 20. ] pool ~solve:(fun ~budget pool ->
-        Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool)
+        Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool)
   in
   let rows =
     List.map
@@ -172,7 +172,8 @@ let fig7a_and_tab3 ?(config = Config.default) () =
   let rng = Config.rng config in
   let budgets = frange 0.05 0.5 0.05 in
   let n = 11 in
-  let objective = Jsp.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let objective = Engine.Objective.bv_bucket ~num_buckets:config.num_buckets () in
+  let task = Engine.Task.binary ~alpha:config.alpha in
   let differences = ref [] in
   let rows =
     List.map
@@ -187,8 +188,9 @@ let fig7a_and_tab3 ?(config = Config.default) () =
                  swap-only neighborhood cannot shrink a full jury, so the
                  greedy seeds cover compositions annealing cannot reach). *)
               let annealed =
-                Jsp.Annealing.solve ~params:config.annealing objective ~rng:r
-                  ~alpha:config.alpha ~budget pool
+                Jsp.Solver.map_jury Engine.Pool.to_workers_exn
+                  (Jsp.Annealing.solve_engine ~params:config.annealing
+                     ~objective ~rng:r ~task ~budget (Engine.Pool.of_workers pool))
               in
               let greedy =
                 Jsp.Greedy.best_of_all objective ~alpha:config.alpha ~budget pool
@@ -246,6 +248,7 @@ let fig7b ?(config = Config.default) () =
   let rng = Config.rng config in
   let budgets = [ 0.05; 0.20; 0.35; 0.50 ] in
   let reps = max 1 (config.reps / 10) in
+  let task = Engine.Task.binary ~alpha:config.alpha in
   let totals = ref Jsp.Objective_cache.empty_stats in
   let rows =
     List.map
@@ -255,20 +258,24 @@ let fig7b ?(config = Config.default) () =
             (fun budget ->
               let runs =
                 Series.replicate_collect ~domains:config.Config.domains rng ~reps (fun r ->
-                    let pool = Workers.Generator.gaussian_pool r config.generator n in
+                    let pool =
+                      Engine.Pool.of_workers
+                        (Workers.Generator.gaussian_pool r config.generator n)
+                    in
+                    let solve ?objective ?cache () =
+                      Jsp.Annealing.solve_engine ~params:config.annealing
+                        ?objective ~num_buckets:config.num_buckets ?cache ~rng:r
+                        ~task ~budget pool
+                    in
                     let _, seed_s =
                       Series.timed (fun () ->
-                          Jsp.Annealing.solve ~params:config.annealing
-                            (Jsp.Objective.bv_bucket
-                               ~num_buckets:config.num_buckets ())
-                            ~rng:r ~alpha:config.alpha ~budget pool)
+                          solve
+                            ~objective:
+                              (Engine.Objective.bv_bucket
+                                 ~num_buckets:config.num_buckets ())
+                            ~cache:false ())
                     in
-                    let inc, inc_s =
-                      Series.timed (fun () ->
-                          Jsp.Annealing.solve_optjs ~params:config.annealing
-                            ~num_buckets:config.num_buckets ~rng:r
-                            ~alpha:config.alpha ~budget pool)
-                    in
+                    let inc, inc_s = Series.timed (fun () -> solve ()) in
                     (seed_s, inc_s, inc.Jsp.Solver.cache))
               in
               List.iter

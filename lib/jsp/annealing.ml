@@ -20,15 +20,14 @@ let validate_params p =
   if p.cooling <= 1. then invalid_arg "Annealing: cooling <= 1";
   if p.t_initial < p.epsilon then invalid_arg "Annealing: t_initial < epsilon"
 
-(* Mutable search state over the candidate pool, polymorphic in the jury
-   representation: the schedule only needs member costs and a way to
-   materialize the selected subset.  [idx] is a permutation of worker
-   indices with the selected ones occupying the prefix [0, n_sel); [pos] is
-   its inverse.  A uniformly random selected (or unselected) partner is
-   then one array read — the hot loop allocates nothing. *)
-type 'jury state = {
+(* Mutable search state over the candidate pool.  [idx] is a permutation
+   of worker indices with the selected ones occupying the prefix
+   [0, n_sel); [pos] is its inverse.  A uniformly random selected (or
+   unselected) partner is then one array read — the hot loop allocates
+   nothing. *)
+type state = {
+  pool : Engine.Pool.t;
   costs : float array;
-  materialize : bool array -> 'jury;
   selected : bool array;
   idx : int array;
   pos : int array;
@@ -38,11 +37,11 @@ type 'jury state = {
   mutable evaluations : int;
 }
 
-let make_state ~costs ~materialize =
-  let n = Array.length costs in
+let make_state pool =
+  let n = Engine.Pool.size pool in
   {
-    costs;
-    materialize;
+    pool;
+    costs = Engine.Pool.costs pool;
     selected = Array.make n false;
     idx = Array.init n Fun.id;
     pos = Array.init n Fun.id;
@@ -82,15 +81,15 @@ let cost st i = st.costs.(i)
 
 (* Materialized juries are only built off the hot path: at the initial
    evaluation, on cache misses, and when a new best is remembered. *)
-let current_jury st = st.materialize st.selected
+let current_jury st = Engine.Pool.sub st.pool st.selected
 
 let jury_without_with st ~out ~into =
   let flags = Array.copy st.selected in
   flags.(out) <- false;
   flags.(into) <- true;
-  st.materialize flags
+  Engine.Pool.sub st.pool flags
 
-(* The annealing schedule of Algorithm 3, shared by every engine.
+(* The annealing schedule of Algorithm 3, shared by both scoring modes.
    [score_current] scores the selection just after a state change;
    [probe_swap] returns the candidate score of flipping (out, into) plus
    whether the scorer already mutated itself to that state (incremental
@@ -168,195 +167,95 @@ let memo_table ~cache ~memo ~n =
 
 (* The salt must be derived before the schedule draws from [rng]:
    [Rng.fingerprint] identifies the whole future stream, so together with
-   the objective, the task scope and the budget it pins every input the
-   solve's (selection -> score) map and trajectory depend on. *)
-let solve_salt ~objective ~scope ~budget ~rng =
+   the objective, the task and the budget it pins every input the solve's
+   (selection -> score) map and trajectory depend on. *)
+let solve_salt ~objective ~task ~budget ~rng =
   Digest.string
-    (Printf.sprintf "%s|%s|%Lx|%s" objective scope
+    (Printf.sprintf "%s|%s|%Lx|%s"
+       (Engine.Objective.name objective)
+       (Engine.Task.fingerprint task)
        (Int64.bits_of_float budget)
        (Prob.Rng.fingerprint rng))
 
-let alpha_scope ~alpha = Printf.sprintf "a%Lx" (Int64.bits_of_float alpha)
-
-let binary_materialize workers flags =
-  let members = ref [] in
-  for i = Array.length workers - 1 downto 0 do
-    if flags.(i) then members := workers.(i) :: !members
-  done;
-  Workers.Pool.of_list !members
-
-let solve ?(params = default_params) ?(cache = false) ?memo
-    (objective : Objective.t) ~rng ~alpha ~budget pool =
+let solve_engine ?(params = default_params) ?objective ?num_buckets
+    ?(cache = true) ?memo ~rng ~task ~budget pool =
   Budget.validate budget;
   validate_params params;
-  let workers = Workers.Pool.to_array pool in
-  let st =
-    make_state
-      ~costs:(Array.map Workers.Worker.cost workers)
-      ~materialize:(binary_materialize workers)
+  if Engine.Pool.labels pool <> Engine.Task.labels task then
+    invalid_arg "Annealing.solve_engine: pool and task label counts differ";
+  let objective =
+    match objective with
+    | Some o -> o
+    | None -> Engine.Objective.bv_bucket_incremental ?num_buckets ()
   in
-  let memo = memo_table ~cache ~memo ~n:(Array.length workers) in
-  let salt =
-    solve_salt ~objective:objective.name ~scope:(alpha_scope ~alpha) ~budget ~rng
-  in
-  let eval jury =
-    st.evaluations <- st.evaluations + 1;
-    objective.score ~alpha jury
-  in
-  let memoized key_of jury_of =
-    match memo with
-    | None -> eval (jury_of ())
-    | Some c -> Objective_cache.find_or_eval c (key_of c) (fun () -> eval (jury_of ()))
-  in
-  let score_current () =
-    memoized
-      (fun c -> Objective_cache.key ~salt c st.selected)
-      (fun () -> current_jury st)
-  in
-  let probe_swap ~out ~into =
-    ( memoized
-        (fun c -> Objective_cache.key_swapped ~salt c st.selected ~out ~into)
-        (fun () -> jury_without_with st ~out ~into),
-      false )
-  in
-  let jury, score =
-    run params st ~rng ~budget ~score_current ~probe_swap
-      ~commit_add:(fun _ -> ())
-      ~commit_swap:(fun ~out:_ ~into:_ ~mutated:_ -> ())
-      ~undo_probe:(fun ~out:_ ~into:_ -> ())
-  in
-  {
-    Solver.jury;
-    score;
-    evaluations = st.evaluations;
-    cache = Option.map Objective_cache.stats memo;
-  }
-
-let solve_incremental ?(params = default_params) ?(cache = true) ?memo
-    (inc : Objective.Incremental.t) ~rng ~alpha ~budget pool =
-  Budget.validate budget;
-  validate_params params;
-  let workers = Workers.Pool.to_array pool in
-  let st =
-    make_state
-      ~costs:(Array.map Workers.Worker.cost workers)
-      ~materialize:(binary_materialize workers)
-  in
-  let quality i = Workers.Worker.quality workers.(i) in
-  let memo = memo_table ~cache ~memo ~n:(Array.length workers) in
-  let salt =
-    solve_salt ~objective:inc.Objective.Incremental.name
-      ~scope:(alpha_scope ~alpha) ~budget ~rng
-  in
-  let acc = inc.Objective.Incremental.init ~alpha in
-  let eval () =
-    st.evaluations <- st.evaluations + 1;
-    acc.Objective.Incremental.value ()
-  in
-  (* The accumulator always mirrors the *selection*, except transiently
-     inside a swap probe: a cache miss mutates it to the candidate state
-     (that is how the candidate is scored at all), and the accept/reject
-     outcome either keeps the mutation or rolls it back. *)
-  let mutate_to ~out ~into =
-    acc.Objective.Incremental.remove (quality out);
-    acc.Objective.Incremental.add (quality into)
-  in
-  let score_current () =
+  let st = make_state pool in
+  let memo = memo_table ~cache ~memo ~n:(Engine.Pool.size pool) in
+  let salt = solve_salt ~objective ~task ~budget ~rng in
+  let memoized key_of eval =
     match memo with
     | None -> eval ()
-    | Some c ->
-        Objective_cache.find_or_eval c (Objective_cache.key ~salt c st.selected) eval
+    | Some c -> Objective_cache.find_or_eval c (key_of c) eval
   in
-  let probe_swap ~out ~into =
-    match memo with
-    | None ->
-        mutate_to ~out ~into;
-        (eval (), true)
-    | Some c ->
-        let key = Objective_cache.key_swapped ~salt c st.selected ~out ~into in
-        let mutated = ref false in
-        let v =
-          Objective_cache.find_or_eval c key (fun () ->
-              mutated := true;
-              mutate_to ~out ~into;
-              eval ())
-        in
-        (v, !mutated)
+  let key c = Objective_cache.key ~salt c st.selected in
+  let key_swapped ~out ~into c =
+    Objective_cache.key_swapped ~salt c st.selected ~out ~into
   in
-  let jury, _incr_score =
-    run params st ~rng ~budget ~score_current ~probe_swap
-      ~commit_add:(fun r -> acc.Objective.Incremental.add (quality r))
-      ~commit_swap:(fun ~out ~into ~mutated ->
-        if not mutated then mutate_to ~out ~into)
-      ~undo_probe:(fun ~out ~into -> mutate_to ~out:into ~into:out)
-  in
-  (* Report the jury on the standard scale: one from-scratch evaluation of
-     the final jury keeps scores comparable with the other solvers (the
-     incremental estimate differs within the combined error bounds). *)
-  st.evaluations <- st.evaluations + 1;
-  let score = inc.Objective.Incremental.rescore.score ~alpha jury in
-  {
-    Solver.jury;
-    score;
-    evaluations = st.evaluations;
-    cache = Option.map Objective_cache.stats memo;
-  }
-
-let solve_optjs ?params ?num_buckets ?cache ?memo ~rng ~alpha ~budget pool =
-  solve_incremental ?params ?cache ?memo
-    (Objective.bv_bucket_incremental ?num_buckets ())
-    ~rng ~alpha ~budget pool
-
-let solve_mvjs ?params ?cache ?memo ~rng ~alpha ~budget pool =
-  solve_incremental ?params ?cache ?memo Objective.mv_closed_incremental ~rng
-    ~alpha ~budget pool
-
-(* Matrix pools run the from-scratch schedule against the engine objective
-   with memoization; binary pools fall through to the incremental OPTJS
-   engine — [Engine.Pool.of_confusions] has already lowered ℓ=2 symmetric
-   matrix pools to that representation, so §7 pools pay the tuple-key
-   scorer only when they genuinely need it. *)
-let solve_matrix ~params ~cache ~memo ~num_buckets ~workspace ~rng ~task
-    ~budget epool =
-  Budget.validate budget;
-  validate_params params;
-  let objective = Engine.Objective.bv_bucket ?num_buckets ?workspace () in
-  let st =
-    make_state ~costs:(Engine.Pool.costs epool)
-      ~materialize:(Engine.Pool.sub epool)
-  in
-  let memo = memo_table ~cache ~memo ~n:(Engine.Pool.size epool) in
-  let salt =
-    solve_salt
-      ~objective:(Engine.Objective.name objective)
-      ~scope:(Engine.Task.fingerprint task)
-      ~budget ~rng
-  in
-  let eval jury =
+  let from_scratch jury =
     st.evaluations <- st.evaluations + 1;
     Engine.Objective.score objective ~task jury
   in
-  let memoized key_of jury_of =
-    match memo with
-    | None -> eval (jury_of ())
-    | Some c -> Objective_cache.find_or_eval c (key_of c) (fun () -> eval (jury_of ()))
-  in
-  let score_current () =
-    memoized
-      (fun c -> Objective_cache.key ~salt c st.selected)
-      (fun () -> current_jury st)
-  in
-  let probe_swap ~out ~into =
-    ( memoized
-        (fun c -> Objective_cache.key_swapped ~salt c st.selected ~out ~into)
-        (fun () -> jury_without_with st ~out ~into),
-      false )
-  in
   let jury, score =
-    run params st ~rng ~budget ~score_current ~probe_swap
-      ~commit_add:(fun _ -> ())
-      ~commit_swap:(fun ~out:_ ~into:_ ~mutated:_ -> ())
-      ~undo_probe:(fun ~out:_ ~into:_ -> ())
+    match Engine.Objective.accumulator objective ~task pool with
+    | None ->
+        let score_current () =
+          memoized key (fun () -> from_scratch (current_jury st))
+        in
+        let probe_swap ~out ~into =
+          ( memoized (key_swapped ~out ~into) (fun () ->
+                from_scratch (jury_without_with st ~out ~into)),
+            false )
+        in
+        run params st ~rng ~budget ~score_current ~probe_swap
+          ~commit_add:(fun _ -> ())
+          ~commit_swap:(fun ~out:_ ~into:_ ~mutated:_ -> ())
+          ~undo_probe:(fun ~out:_ ~into:_ -> ())
+    | Some acc ->
+        let value () =
+          st.evaluations <- st.evaluations + 1;
+          acc.value ()
+        in
+        (* The accumulator always mirrors the *selection*, except
+           transiently inside a swap probe: a cache miss mutates it to the
+           candidate state (that is how the candidate is scored at all), and
+           the accept/reject outcome either keeps the mutation or rolls it
+           back. *)
+        let mutate_to ~out ~into =
+          acc.remove out;
+          acc.add into
+        in
+        let probe_swap ~out ~into =
+          let mutated = ref false in
+          let v =
+            memoized (key_swapped ~out ~into) (fun () ->
+                mutated := true;
+                mutate_to ~out ~into;
+                value ())
+          in
+          (v, !mutated)
+        in
+        let jury, _incremental_score =
+          run params st ~rng ~budget
+            ~score_current:(fun () -> memoized key value)
+            ~probe_swap ~commit_add:acc.add
+            ~commit_swap:(fun ~out ~into ~mutated ->
+              if not mutated then mutate_to ~out ~into)
+            ~undo_probe:(fun ~out ~into -> mutate_to ~out:into ~into:out)
+        in
+        (* Report the jury on the standard scale: one from-scratch
+           evaluation keeps scores comparable across objectives and solvers
+           (the incremental estimate differs within the combined error
+           bounds). *)
+        (jury, from_scratch jury)
   in
   {
     Solver.jury;
@@ -364,18 +263,3 @@ let solve_matrix ~params ~cache ~memo ~num_buckets ~workspace ~rng ~task
     evaluations = st.evaluations;
     cache = Option.map Objective_cache.stats memo;
   }
-
-let solve_engine ?(params = default_params) ?num_buckets ?workspace
-    ?(cache = true) ?memo ~rng ~task ~budget epool =
-  match Engine.Pool.repr epool with
-  | Engine.Pool.Binary pool ->
-      if Engine.Task.labels task <> 2 then
-        invalid_arg "Annealing.solve_engine: binary pool under a non-binary task";
-      Solver.map_jury Engine.Pool.of_workers
-        (solve_optjs ~params ?num_buckets ~cache ?memo ~rng
-           ~alpha:(Engine.Task.alpha task) ~budget pool)
-  | Engine.Pool.Matrix _ ->
-      if Engine.Pool.labels epool <> Engine.Task.labels task then
-        invalid_arg "Annealing.solve_engine: pool and task label counts differ";
-      solve_matrix ~params ~cache ~memo ~num_buckets ~workspace ~rng ~task
-        ~budget epool

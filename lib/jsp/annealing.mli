@@ -9,26 +9,27 @@
     by Δ is still accepted with probability exp(−Δ/T) (Boltzmann), which
     lets the search escape local optima.
 
-    Scoring engines share the schedule.  {!solve} evaluates an
-    {!Objective.t} from scratch per move (the reference engine);
-    {!solve_incremental} maintains one {!Objective.Incremental} accumulator
-    per search and applies O(state) add/remove deltas per move — the
-    production hot path for binary pools.  {!solve_engine} runs against an
-    {!Engine.Pool.t} of either representation, dispatching binary pools to
-    the incremental engine and ℓ-label matrix pools to memoized
-    from-scratch scoring of the §7 tuple-key objective.  Any of them can
-    memoize scores with an {!Objective_cache} ([cache]); caching never
-    changes the search trajectory of the pure-objective engines (the
-    Boltzmann draw is skipped exactly when it was skipped uncached), so
-    cached runs return bit-identical juries and scores.  Partner picks use
-    O(1) reads of a permutation array — the hot loop allocates nothing.
+    The schedule treats JQ as a black box, so one entry point serves every
+    worker model and objective: OPTJS is the default bucket-BV objective,
+    MVJS the majority-voting one, and §7's ℓ-label juries are the same
+    search over a matrix pool.  The objective decides how moves are
+    scored: when it carries an {!Engine.Objective.accumulator} for the pool
+    (the incremental objectives on binary pools), one accumulator per
+    search applies O(state) add/remove deltas per move — the production
+    hot path; otherwise every candidate jury is scored from scratch.
+    Either mode can memoize scores with an {!Objective_cache} ([cache]);
+    from-scratch scores are pure, so caching never changes their search
+    trajectory (the Boltzmann draw is skipped exactly when it was skipped
+    uncached) and cached runs return bit-identical juries and scores.
+    Partner picks use O(1) reads of a permutation array — the hot loop
+    allocates nothing.
 
     Every solve prefixes its cache keys with a salt — a digest of
-    (objective name, alpha/prior, budget, RNG state), derived before the
+    (objective name, task prior, budget, RNG state), derived before the
     first draw — so entries written by solves that could disagree on a
     selection's score live in disjoint key spaces.  A caller-owned [?memo]
     is therefore safe to share across arbitrary solves over one pool: a
-    repeat of an earlier (objective, alpha, budget, seed) replays its warm
+    repeat of an earlier (objective, prior, budget, seed) replays its warm
     run byte-identically, and any other solve simply cannot observe the
     foreign entries (they only compete for capacity). *)
 
@@ -47,83 +48,10 @@ type params = {
 
 val default_params : params
 
-val solve :
-  ?params:params ->
-  ?cache:bool ->
-  ?memo:Objective_cache.t ->
-  Objective.t ->
-  rng:Prob.Rng.t ->
-  alpha:float ->
-  budget:Budget.t ->
-  Workers.Pool.t ->
-  Workers.Pool.t Solver.result
-(** Run the annealer with from-scratch scoring.  The result is always
-    feasible.  Deterministic given the [rng] state; [cache] (default
-    [false]) memoizes repeat evaluations without changing the outcome and
-    surfaces counters in [result.cache].
-
-    [memo] supplies a caller-owned {!Objective_cache} instead (overriding
-    [cache]); it survives the solve, so a long-lived caller — a serving
-    executor answering repeated queries against one pool — starts each
-    solve with a warm table.  It must have been created with [~n] equal to
-    the pool size; key salting (see above) takes care of everything else.
-    [result.cache] then reports the table's cumulative counters.
-    @raise Invalid_argument on invalid budget or params
-    (ε ≤ 0, cooling ≤ 1, t_initial ≤ ε), or when a supplied [memo] was
-    created for a different pool size. *)
-
-val solve_incremental :
-  ?params:params ->
-  ?cache:bool ->
-  ?memo:Objective_cache.t ->
-  Objective.Incremental.t ->
-  rng:Prob.Rng.t ->
-  alpha:float ->
-  budget:Budget.t ->
-  Workers.Pool.t ->
-  Workers.Pool.t Solver.result
-(** Run the annealer with incremental scoring ([cache] defaults to
-    [true]).  The returned score is a final from-scratch evaluation of the
-    winning jury by the objective's [rescore], so it is directly comparable
-    with the other solvers' scores.
-
-    Incremental objective values are path-dependent at ulp level
-    (add/remove float drift), so an entry computed during one solve can
-    differ in the last bits from what another solve would have computed for
-    the same bitset — which is exactly why the salt folds the budget and
-    the RNG state in: a warm [?memo] replays the same request
-    byte-identically and is invisible to every other request. *)
-
-val solve_optjs :
-  ?params:params ->
-  ?num_buckets:int ->
-  ?cache:bool ->
-  ?memo:Objective_cache.t ->
-  rng:Prob.Rng.t ->
-  alpha:float ->
-  budget:Budget.t ->
-  Workers.Pool.t ->
-  Workers.Pool.t Solver.result
-(** OPTJS: {!solve_incremental} over the bucket-approximated BV objective
-    ({!Objective.bv_bucket_incremental}). *)
-
-val solve_mvjs :
-  ?params:params ->
-  ?cache:bool ->
-  ?memo:Objective_cache.t ->
-  rng:Prob.Rng.t ->
-  alpha:float ->
-  budget:Budget.t ->
-  Workers.Pool.t ->
-  Workers.Pool.t Solver.result
-(** The MVJS baseline of the experiments: identical search, but the
-    objective is JQ under Majority Voting (closed form, maintained as an
-    incremental Poisson–binomial pmf), i.e. [7]'s argmax_J JQ(J, MV, α). *)
-
 val solve_engine :
   ?params:params ->
+  ?objective:Engine.Objective.t ->
   ?num_buckets:int ->
-  ?workspace:Jq.Workspace.t ->
   ?cache:bool ->
   ?memo:Objective_cache.t ->
   rng:Prob.Rng.t ->
@@ -131,15 +59,30 @@ val solve_engine :
   budget:Budget.t ->
   Engine.Pool.t ->
   Engine.Pool.t Solver.result
-(** OPTJS against the task-model engine, for any worker model.  [Binary]
-    pools (including ℓ=2 symmetric matrix pools, which
-    {!Engine.Pool.of_confusions} lowers) run {!solve_optjs} verbatim —
-    same trajectory, same juries, same scores; [Matrix] pools run the same
-    schedule with memoized from-scratch evaluations of
-    {!Engine.Objective.bv_bucket} ([cache] defaults to [true];
-    [workspace] pins those evaluations' kernel scratch — single-owner, see
-    {!Jq.Workspace} — and is ignored on the binary path, whose
-    incremental evaluator owns its own state).  The
-    result's jury preserves the input representation.
-    @raise Invalid_argument when the pool and task label counts differ (or
-    on the parameter violations of {!solve}). *)
+(** Run the annealer.  [objective] defaults to OPTJS,
+    {!Engine.Objective.bv_bucket_incremental} at [num_buckets] (which is
+    only read for that default).  The result is always feasible, its jury
+    keeps the input representation, and it is deterministic given the
+    [rng] state.
+
+    [cache] (default [true]) memoizes repeat evaluations and surfaces
+    counters in [result.cache].  [memo] supplies a caller-owned
+    {!Objective_cache} instead (overriding [cache]); it survives the
+    solve, so a long-lived caller — a serving executor answering repeated
+    queries against one pool — starts each solve with a warm table.  It
+    must have been created with [~n] equal to the pool size; key salting
+    (see above) takes care of everything else.  [result.cache] then
+    reports the table's cumulative counters.
+
+    With an accumulator, the returned score is a final from-scratch
+    {!Engine.Objective.score} of the winning jury, so it is directly
+    comparable with every other solver's scores.  Incremental values are
+    path-dependent at ulp level (add/remove float drift), so an entry
+    computed during one solve can differ in the last bits from what
+    another solve would have computed for the same selection — which is
+    exactly why the salt folds the budget and the RNG state in — and a
+    cached incremental run may differ from an uncached one.
+    @raise Invalid_argument on an invalid budget or params (ε ≤ 0,
+    cooling ≤ 1, t_initial < ε), when the pool and task label counts
+    differ, or when a supplied [memo] was created for a different pool
+    size. *)

@@ -10,15 +10,16 @@ let density w =
   in
   Prob.Log_space.logit q /. Float.max 1e-9 (Workers.Worker.cost w)
 
-let solve ?(width = default_width) (objective : Objective.t) ~alpha ~budget pool =
+let solve ?(width = default_width) objective ~alpha ~budget pool =
   if width <= 0 then invalid_arg "Beam.solve: width <= 0";
   Budget.validate budget;
   let workers = Workers.Pool.to_array pool in
   Array.sort (fun a b -> compare (density b) (density a)) workers;
   let evaluations = ref 0 in
+  let score_jury = Engine.Objective.score_workers objective ~alpha in
   let score members =
     incr evaluations;
-    objective.score ~alpha (Workers.Pool.of_list (List.rev members))
+    score_jury (Workers.Pool.of_list (List.rev members))
   in
   let empty = { members = []; cost = 0.; score = score [] } in
   let best = ref empty in

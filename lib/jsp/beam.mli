@@ -13,7 +13,7 @@ val default_width : int
 
 val solve :
   ?width:int ->
-  Objective.t ->
+  Engine.Objective.t ->
   alpha:float ->
   budget:Budget.t ->
   Workers.Pool.t ->

@@ -9,7 +9,7 @@ val max_pool : int
 (** Largest pool accepted (20). *)
 
 val solve :
-  Objective.t -> alpha:float -> budget:Budget.t -> Workers.Pool.t -> Workers.Pool.t Solver.result
+  Engine.Objective.t -> alpha:float -> budget:Budget.t -> Workers.Pool.t -> Workers.Pool.t Solver.result
 (** The feasible jury with the maximum objective score; among equal scores,
     the cheaper jury wins (then the earlier-enumerated, so results are
     deterministic).  The empty jury is always feasible, so the result is

@@ -19,13 +19,14 @@ let pareto candidates =
   in
   sweep neg_infinity [] sorted
 
-let exact (objective : Objective.t) ~alpha pool =
+let exact objective ~alpha pool =
+  let score = Engine.Objective.score_workers objective ~alpha in
   let candidates =
     Seq.fold_left
       (fun acc jury ->
         {
           cost = Budget.jury_cost jury;
-          quality = objective.score ~alpha jury;
+          quality = score jury;
           jury;
         }
         :: acc)

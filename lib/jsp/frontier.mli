@@ -13,7 +13,7 @@ type point = {
 }
 
 val exact :
-  Objective.t -> alpha:float -> Workers.Pool.t -> point list
+  Engine.Objective.t -> alpha:float -> Workers.Pool.t -> point list
 (** The exact frontier by subset enumeration (pools within
     {!Enumerate.max_pool}): points in strictly increasing cost *and*
     strictly increasing quality; the first point is the best free jury

@@ -1,4 +1,4 @@
-let scan (objective : Objective.t) ~alpha ~budget ordered =
+let scan objective ~alpha ~budget ordered =
   Budget.validate budget;
   let chosen = ref [] in
   let spent = ref 0. in
@@ -11,7 +11,12 @@ let scan (objective : Objective.t) ~alpha ~budget ordered =
       end)
     ordered;
   let jury = Workers.Pool.of_list (List.rev !chosen) in
-  { Solver.jury; score = objective.score ~alpha jury; evaluations = 1; cache = None }
+  {
+    Solver.jury;
+    score = Engine.Objective.score_workers objective ~alpha jury;
+    evaluations = 1;
+    cache = None;
+  }
 
 let by_quality objective ~alpha ~budget pool =
   scan objective ~alpha ~budget

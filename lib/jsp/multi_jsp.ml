@@ -8,27 +8,6 @@ let jury_cost jury =
 
 let task_of ~prior = Engine.Task.make ~prior
 
-(* Map an engine jury back onto the caller's candidate structs.  [Matrix]
-   juries are subsets of the original array already; lowered [Binary]
-   juries carry the original ids, which resolve against the candidates
-   (first binding wins on duplicate ids). *)
-let members_of ~candidates epool =
-  match Engine.Pool.repr epool with
-  | Engine.Pool.Matrix a -> a
-  | Engine.Pool.Binary p ->
-      let by_id = Hashtbl.create (Array.length candidates) in
-      Array.iter
-        (fun c ->
-          let id = Workers.Confusion.id c in
-          if not (Hashtbl.mem by_id id) then Hashtbl.add by_id id c)
-        candidates;
-      Array.map
-        (fun w ->
-          match Hashtbl.find_opt by_id (Workers.Worker.id w) with
-          | Some c -> c
-          | None -> assert false)
-        (Workers.Pool.to_array p)
-
 let make_objective ?num_buckets ~task counter =
   let objective = Engine.Objective.bv_bucket ?num_buckets () in
   fun jury ->
@@ -86,11 +65,18 @@ let greedy ?num_buckets ~prior ~budget candidates =
     cache = None;
   }
 
+(* The engine pool carries positional ids, so the jury maps back onto the
+   caller's candidate structs by position whatever their own ids are — and
+   whichever representation the pool lowered to. *)
 let anneal ?params ?num_buckets ?cache ?memo ~rng ~prior ~budget candidates =
   let task = task_of ~prior in
-  let epool = Engine.Pool.of_confusions candidates in
+  let epool =
+    Engine.Pool.of_confusions
+      (Array.mapi (fun i c -> Workers.Confusion.with_id c i) candidates)
+  in
   Solver.map_jury
-    (members_of ~candidates)
+    (fun jury ->
+      Array.of_list (List.map (Array.get candidates) (Engine.Pool.ids jury)))
     (Annealing.solve_engine ?params ?num_buckets ?cache ?memo ~rng ~task
        ~budget epool)
 

@@ -42,8 +42,9 @@ val anneal :
   Workers.Confusion.t array ->
   Workers.Confusion.t array Solver.result
 (** {!Annealing.solve_engine} over the candidates ([cache] defaults to
-    [true]; [memo] as in {!Annealing.solve} — key salting makes sharing
-    safe).  Keeps the best jury seen. *)
+    [true]; [memo] as in {!Annealing.solve_engine} — key salting makes
+    sharing safe).  Keeps the best jury seen.  Jury members map back to
+    the candidates by position, so duplicate ids are harmless. *)
 
 val select :
   ?params:Annealing.params ->

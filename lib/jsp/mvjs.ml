@@ -1,11 +1,13 @@
 let select ?params ~rng ~alpha ~budget pool =
-  let objective = Objective.mv_closed in
-  let annealed = Annealing.solve_mvjs ?params ~rng ~alpha ~budget pool in
-  let greedy = Greedy.best_of_all objective ~alpha ~budget pool in
-  Solver.best annealed greedy
+  let annealed =
+    Annealing.solve_engine ?params ~objective:Engine.Objective.mv_closed_incremental
+      ~rng ~task:(Engine.Task.binary ~alpha) ~budget (Engine.Pool.of_workers pool)
+  in
+  let greedy = Greedy.best_of_all Engine.Objective.mv_closed ~alpha ~budget pool in
+  Solver.best (Solver.map_jury Engine.Pool.to_workers_exn annealed) greedy
 
 let select_exact ~alpha ~budget pool =
-  Enumerate.solve Objective.mv_closed ~alpha ~budget pool
+  Enumerate.solve Engine.Objective.mv_closed ~alpha ~budget pool
 
 let jq_of_jury ~alpha jury =
   Jq.Mv_closed.jq ~alpha ~qualities:(Workers.Pool.qualities jury)

@@ -19,26 +19,25 @@ let perturb rng ~sigma pool =
 (* Score a jury chosen from the estimate under the true pool: members are
    matched by id. *)
 let true_jq ~alpha ~truth jury =
-  let true_quality id =
-    match Workers.Pool.find_id truth id with
-    | Some w -> Workers.Worker.quality w
+  let true_worker w =
+    match Workers.Pool.find_id truth (Workers.Worker.id w) with
+    | Some t -> t
     | None -> invalid_arg "Sensitivity: jury member not in the true pool"
   in
-  let qualities =
-    Array.map (fun w -> true_quality (Workers.Worker.id w)) (Workers.Pool.to_array jury)
-  in
-  if Array.length qualities = 0 then Float.max alpha (1. -. alpha)
-  else Jq.Exact.jq_optimal ~alpha ~qualities
+  Engine.Objective.score_workers Engine.Objective.bv_exact ~alpha
+    (Workers.Pool.of_list (List.map true_worker (Workers.Pool.to_list jury)))
 
 let measure rng ?(samples = 20) ~alpha ~budget ~sigma pool =
   if sigma < 0. || Float.is_nan sigma then invalid_arg "Sensitivity.measure: sigma";
   if samples <= 0 then invalid_arg "Sensitivity.measure: samples <= 0";
-  let optimal = Enumerate.solve Objective.bv_exact ~alpha ~budget pool in
+  let optimal = Enumerate.solve Engine.Objective.bv_exact ~alpha ~budget pool in
   let eval_errors = Prob.Kahan.create () in
   let regrets = Prob.Kahan.create () in
   for _ = 1 to samples do
     let estimate = perturb rng ~sigma pool in
-    let selected = Enumerate.solve Objective.bv_exact ~alpha ~budget estimate in
+    let selected =
+      Enumerate.solve Engine.Objective.bv_exact ~alpha ~budget estimate
+    in
     let believed = selected.Solver.score in
     let actual = true_jq ~alpha ~truth:pool selected.Solver.jury in
     Prob.Kahan.add eval_errors (Float.abs (believed -. actual));

@@ -5,10 +5,6 @@ type 'jury result = {
   cache : Objective_cache.stats option;
 }
 
-let empty_result (objective : Objective.t) ~alpha =
-  let jury = Workers.Pool.of_list [] in
-  { jury; score = objective.score ~alpha jury; evaluations = 1; cache = None }
-
 let best a b = if b.score > a.score then b else a
 
 let map_jury f r =

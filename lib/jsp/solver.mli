@@ -14,9 +14,6 @@ type 'jury result = {
           {!Objective_cache} ([None] for uncached solvers). *)
 }
 
-val empty_result : Objective.t -> alpha:float -> Workers.Pool.t result
-(** The no-jury fallback (used when even the cheapest worker exceeds B). *)
-
 val best : 'jury result -> 'jury result -> 'jury result
 (** The result with the higher score (ties keep the first). *)
 

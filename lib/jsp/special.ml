@@ -17,14 +17,18 @@ let classify ~budget pool =
 let top_k_by_quality k pool =
   Workers.Pool.take k (Workers.Pool.sorted_by_quality_desc pool)
 
-let solve (objective : Objective.t) ~alpha ~budget pool =
+let solve objective ~alpha ~budget pool =
+  let scored jury =
+    {
+      Solver.jury;
+      score = Engine.Objective.score_workers objective ~alpha jury;
+      evaluations = 1;
+      cache = None;
+    }
+  in
   match classify ~budget pool with
   | General -> None
-  | All_affordable ->
-      let score = objective.score ~alpha pool in
-      Some { Solver.jury = pool; score; evaluations = 1; cache = None }
+  | All_affordable -> Some (scored pool)
   | Uniform_cost c ->
       let k = min (int_of_float (Float.floor ((budget +. 1e-9) /. c))) (Workers.Pool.size pool) in
-      let jury = top_k_by_quality k pool in
-      let score = objective.score ~alpha jury in
-      Some { Solver.jury; score; evaluations = 1; cache = None }
+      Some (scored (top_k_by_quality k pool))

@@ -13,7 +13,7 @@ type applicability =
 val classify : budget:Budget.t -> Workers.Pool.t -> applicability
 
 val solve :
-  Objective.t ->
+  Engine.Objective.t ->
   alpha:float ->
   budget:Budget.t ->
   Workers.Pool.t ->

@@ -36,6 +36,7 @@ let of_binary w =
     ~matrix:[| [| q; 1. -. q |]; [| 1. -. q; q |] |]
     ~cost:(Worker.cost w) ()
 
+let with_id c id = { c with id }
 let id c = c.id
 let name c = c.name
 let cost c = c.cost

@@ -16,6 +16,9 @@ val make : ?name:string -> id:int -> matrix:float array array -> cost:float -> u
 val of_binary : Worker.t -> t
 (** Embed a binary quality-q worker as a symmetric 2×2 matrix. *)
 
+val with_id : t -> int -> t
+(** The same worker (matrix, cost and name unchanged) under another id. *)
+
 val id : t -> int
 val name : t -> string
 val cost : t -> float

@@ -1,7 +1,7 @@
 (* Tests for the task-model engine: task validation, pool lowering, the
-   model-polymorphic objective, and the equivalence of ℓ=2 symmetric
-   confusion-matrix pools with the legacy binary stack (scores within one
-   ulp, juries identical across seeds). *)
+   model-polymorphic objective and its accumulators, and the equivalence
+   of ℓ=2 symmetric confusion-matrix pools with the same workers given as
+   scalars (scores within one ulp, juries identical across seeds). *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
@@ -19,9 +19,6 @@ let expect_invalid what f =
   match f () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" what
-
-let jury_ids pool =
-  List.map Workers.Worker.id (Workers.Pool.to_list pool)
 
 let symmetric_confusion ~id ~quality ~cost =
   Workers.Confusion.make ~id
@@ -171,7 +168,45 @@ let test_objective_exact_vs_bucket_multiclass () =
   in
   Alcotest.(check (float 0.05)) "bucket near exact" exact bucket
 
-(* ---- ℓ=2 equivalence with the legacy binary stack (satellite) ----------- *)
+let test_objective_accumulators () =
+  let workers =
+    Workers.Pool.of_list
+      (List.mapi
+         (fun id q -> Workers.Worker.make ~id ~quality:q ~cost:1. ())
+         [ 0.8; 0.65; 0.7 ])
+  in
+  let binary = Engine.Pool.of_workers workers in
+  let task = Engine.Task.binary ~alpha:0.4 in
+  let three = Engine.Task.make ~prior:[| 0.2; 0.5; 0.3 |] in
+  let matrix = Engine.Pool.of_confusions confusions3 in
+  let has objective ~task pool =
+    Engine.Objective.accumulator objective ~task pool <> None
+  in
+  check_bool "from-scratch objective: none" false
+    (has (Engine.Objective.bv_bucket ()) ~task binary);
+  check_bool "incremental objective, binary pool" true
+    (has (Engine.Objective.bv_bucket_incremental ()) ~task binary);
+  check_bool "incremental objective, matrix pool: none" false
+    (has (Engine.Objective.bv_bucket_incremental ()) ~task:three matrix);
+  (match
+     Engine.Objective.accumulator Engine.Objective.mv_closed_incremental ~task
+       binary
+   with
+  | None -> Alcotest.fail "MV accumulator expected"
+  | Some acc ->
+      let closed positions =
+        Engine.Objective.score Engine.Objective.mv_closed ~task
+          (Engine.Pool.of_workers (Workers.Pool.sub workers positions))
+      in
+      acc.add 0;
+      acc.add 2;
+      check_float "accumulator = closed form" (closed [ 0; 2 ]) (acc.value ());
+      acc.remove 0;
+      check_float "after removal" (closed [ 2 ]) (acc.value ()));
+  expect_invalid "mv_closed on a matrix pool" (fun () ->
+      Engine.Objective.score Engine.Objective.mv_closed ~task:three matrix)
+
+(* ---- ℓ=2 equivalence with scalar pools ---------------------------------- *)
 
 let case_gen =
   QCheck2.Gen.(
@@ -220,12 +255,12 @@ let equivalence_prop (specs, alpha, seed) =
       ~task ~budget epool
   in
   let legacy_result =
-    Jsp.Annealing.solve_optjs
+    Jsp.Annealing.solve_engine
       ~rng:(Prob.Rng.create seed)
-      ~alpha ~budget workers
+      ~task ~budget (Engine.Pool.of_workers workers)
   in
   let engine_ids = Engine.Pool.ids engine_result.Jsp.Solver.jury in
-  let legacy_ids = jury_ids legacy_result.Jsp.Solver.jury in
+  let legacy_ids = Engine.Pool.ids legacy_result.Jsp.Solver.jury in
   if engine_ids <> legacy_ids then
     Alcotest.failf "juries disagree: {%s} vs {%s}"
       (String.concat "," (List.map string_of_int engine_ids))
@@ -266,12 +301,12 @@ let test_memo_sharing_binary () =
   in
   let memo = Jsp.Objective_cache.create ~n:(Workers.Pool.size pool) () in
   let run ?memo ~alpha ~budget ~seed () =
-    Jsp.Annealing.solve_optjs ?memo ~rng:(Prob.Rng.create seed) ~alpha ~budget
-      pool
+    Jsp.Annealing.solve_engine ?memo ~rng:(Prob.Rng.create seed)
+      ~task:(Engine.Task.binary ~alpha) ~budget (Engine.Pool.of_workers pool)
   in
   let check_same what (a : _ Jsp.Solver.result) (b : _ Jsp.Solver.result) =
     Alcotest.(check (list int))
-      (what ^ ": jury") (jury_ids a.jury) (jury_ids b.jury);
+      (what ^ ": jury") (Engine.Pool.ids a.jury) (Engine.Pool.ids b.jury);
     check_bool (what ^ ": score bitwise") true (a.score = b.score)
   in
   let shared1 = run ~memo ~alpha:0.5 ~budget:6. ~seed:1 () in
@@ -351,6 +386,8 @@ let () =
             test_objective_label_mismatch;
           Alcotest.test_case "bucket near exact (3 labels)" `Quick
             test_objective_exact_vs_bucket_multiclass;
+          Alcotest.test_case "accumulators only for binary pools" `Quick
+            test_objective_accumulators;
         ] );
       ( "equivalence",
         [

@@ -132,83 +132,45 @@ let test_map_array_uses_workspaces () =
     "parallel sweep bit-identical" (Array.map f pools)
     (Expt.Parallel.map_array ~domains:4 ~chunk:2 f pools)
 
-(* ---- Restarts --------------------------------------------------------------- *)
-
-let restart_pool =
-  Workers.Generator.gaussian_pool (Prob.Rng.create 41) Workers.Generator.default 14
-
-let light_annealing = { Jsp.Annealing.default_params with epsilon = 1e-4 }
-
-let test_restarts_parallel_identical () =
-  (* Restarts own their RNGs, so fanning out over domains must not change
-     anything — same seeds, same juries, bit for bit. *)
-  let run domains =
-    Expt.Restarts.run_optjs ~domains ~params:light_annealing
-      ~seeds:(Expt.Restarts.seeds_from ~seed:100 ~restarts:6)
-      ~alpha:0.5 ~budget:0.4 restart_pool
+let test_parallel_solves_identical () =
+  (* Each annealing solve owns its RNG, accumulator and score cache, so
+     fanning solves out over domains — as Fleet.Allocator's restarts do
+     through Parallel.map_array — must not change anything: same seeds,
+     same juries, bit for bit, for binary and matrix pools alike. *)
+  let params = { Jsp.Annealing.default_params with epsilon = 1e-4 } in
+  let seeds = List.init 6 (fun i -> 100 + i) in
+  let check_pool what ~task ~budget pool =
+    let solve seed =
+      Jsp.Annealing.solve_engine ~params ~rng:(Prob.Rng.create seed) ~task
+        ~budget pool
+    in
+    let seq = Expt.Parallel.map ~domains:1 solve seeds
+    and par = Expt.Parallel.map ~domains:3 solve seeds in
+    List.iter2
+      (fun (a : _ Jsp.Solver.result) (b : _ Jsp.Solver.result) ->
+        Alcotest.(check (list int))
+          (what ^ ": same jury") (Engine.Pool.ids a.jury) (Engine.Pool.ids b.jury);
+        check_close 0. (what ^ ": same score") a.score b.score)
+      seq par
   in
-  let seq = run 1 and par = run 3 in
-  check_bool "same best jury" true
-    (Workers.Pool.equal seq.Expt.Restarts.best.Jsp.Solver.jury
-       par.Expt.Restarts.best.Jsp.Solver.jury);
-  check_close 0. "same best score" seq.Expt.Restarts.best.Jsp.Solver.score
-    par.Expt.Restarts.best.Jsp.Solver.score;
-  check_int "same winning seed" seq.Expt.Restarts.seed par.Expt.Restarts.seed;
-  List.iter2
-    (fun (a : _ Jsp.Solver.result) (b : _ Jsp.Solver.result) ->
-      check_close 0. "per-run score" a.Jsp.Solver.score b.Jsp.Solver.score)
-    seq.Expt.Restarts.runs par.Expt.Restarts.runs
-
-let test_restarts_best_dominates () =
-  let o =
-    Expt.Restarts.run_mvjs ~params:light_annealing
-      ~seeds:[ 3; 17; 29 ] ~alpha:0.5 ~budget:0.4 restart_pool
+  check_pool "binary" ~task:(Engine.Task.binary ~alpha:0.5) ~budget:0.4
+    (Engine.Pool.of_workers
+       (Workers.Generator.gaussian_pool (Prob.Rng.create 41)
+          Workers.Generator.default 14));
+  let rng = Prob.Rng.create 43 in
+  let matrix =
+    Array.init 10 (fun id ->
+        let d = 0.45 +. Prob.Rng.float rng 0.45 in
+        let off = (1. -. d) /. 2. in
+        Workers.Confusion.make ~id
+          ~matrix:[| [| d; off; off |]; [| off; d; off |]; [| off; off; d |] |]
+          ~cost:(0.02 +. Prob.Rng.float rng 0.2)
+          ())
   in
-  check_int "one run per seed" 3 (List.length o.Expt.Restarts.runs);
-  List.iter
-    (fun (r : _ Jsp.Solver.result) ->
-      check_bool "best >= run" true
-        (o.Expt.Restarts.best.Jsp.Solver.score >= r.Jsp.Solver.score))
-    o.Expt.Restarts.runs;
-  check_bool "winner is one of the runs" true
-    (List.exists
-       (fun (r : _ Jsp.Solver.result) ->
-         r.Jsp.Solver.score = o.Expt.Restarts.best.Jsp.Solver.score)
-       o.Expt.Restarts.runs)
-
-let test_restarts_cache_totals () =
-  let o =
-    Expt.Restarts.run_optjs ~params:light_annealing ~cache:true
-      ~seeds:[ 1; 2 ] ~alpha:0.5 ~budget:0.4 restart_pool
-  in
-  (match Expt.Restarts.cache_totals o.Expt.Restarts.runs with
-  | Some s ->
-      check_bool "misses accumulated" true (s.Jsp.Objective_cache.misses > 0);
-      let per_run =
-        List.filter_map (fun (r : _ Jsp.Solver.result) -> r.Jsp.Solver.cache)
-          o.Expt.Restarts.runs
-      in
-      let sum f = List.fold_left (fun acc s -> acc + f s) 0 per_run in
-      check_int "hits are summed" (sum (fun s -> s.Jsp.Objective_cache.hits))
-        s.Jsp.Objective_cache.hits
-  | None -> Alcotest.fail "cache totals expected");
-  let uncached =
-    Expt.Restarts.run_optjs ~params:light_annealing ~cache:false
-      ~seeds:[ 1 ] ~alpha:0.5 ~budget:0.4 restart_pool
-  in
-  check_bool "no totals without caching" true
-    (Expt.Restarts.cache_totals uncached.Expt.Restarts.runs = None)
-
-let test_restarts_validation () =
-  Alcotest.check_raises "empty seeds" (Invalid_argument "Restarts.run: no seeds")
-    (fun () ->
-      ignore
-        (Expt.Restarts.run_optjs ~seeds:[] ~alpha:0.5 ~budget:0.4 restart_pool));
-  Alcotest.check_raises "restarts <= 0"
-    (Invalid_argument "Restarts.seeds_from: restarts <= 0") (fun () ->
-      ignore (Expt.Restarts.seeds_from ~seed:0 ~restarts:0));
-  Alcotest.(check (list int)) "seed range" [ 5; 6; 7 ]
-    (Expt.Restarts.seeds_from ~seed:5 ~restarts:3)
+  check_pool "3 labels"
+    ~task:(Engine.Task.make ~prior:[| 0.2; 0.5; 0.3 |])
+    ~budget:0.3
+    (Engine.Pool.of_confusions matrix)
 
 (* ---- Report ------------------------------------------------------------- *)
 
@@ -435,14 +397,8 @@ let () =
           test_map_array_guided_matches_sequential;
           Alcotest.test_case "per-domain workspaces" `Quick
             test_map_array_uses_workspaces;
-        ] );
-      ( "restarts",
-        [
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_restarts_parallel_identical;
-          Alcotest.test_case "best dominates runs" `Quick test_restarts_best_dominates;
-          Alcotest.test_case "cache totals" `Quick test_restarts_cache_totals;
-          Alcotest.test_case "validation" `Quick test_restarts_validation;
+          Alcotest.test_case "annealing solves = sequential" `Quick
+            test_parallel_solves_identical;
         ] );
       ( "report",
         [

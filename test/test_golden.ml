@@ -1,0 +1,63 @@
+(* Golden replies for the solver verbs.
+
+   golden/solver_verbs.txt is a recorded conversation with a fresh
+   service: each "> " line is a request, the "< " line after it the exact
+   reply the service gave.  It covers select and table on a 40-worker
+   scalar pool, a 12-worker 3-label matrix pool and a 10-worker symmetric
+   2x2 matrix pool (lowered to scalars), over several budgets, seeds and
+   priors, each request sent twice so the second pass runs against warm
+   memos; jq pool= on every pool; and a fleet-submit / fleet-status /
+   fleet-release sequence on two pools.  Replaying it against a fresh
+   service must reproduce every reply byte for byte, so any change to a
+   solver, scorer or cache that moves a reply fails here. *)
+
+let transcript = "golden/solver_verbs.txt"
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let strip prefix line =
+  let n = String.length prefix in
+  if String.length line >= n && String.sub line 0 n = prefix then
+    String.sub line n (String.length line - n)
+  else Alcotest.failf "malformed transcript line (want %S): %s" prefix line
+
+let rec exchanges = function
+  | [] -> []
+  | request :: reply :: rest ->
+      (strip "> " request, strip "< " reply) :: exchanges rest
+  | [ line ] -> Alcotest.failf "request without a reply: %s" line
+
+let test_replay () =
+  let pairs = exchanges (read_lines transcript) in
+  let svc = Serve.Service.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Service.shutdown svc)
+    (fun () ->
+      List.iteri
+        (fun i (request, expected) ->
+          let got =
+            match Serve.Wire.decode_request request with
+            | Ok r -> Serve.Wire.encode_response (Serve.Service.submit svc r)
+            | Error e -> Alcotest.failf "line %d does not decode: %s" (2 * i + 1) e
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "reply to line %d: %s" (2 * i + 1) request)
+            expected got)
+        pairs);
+  Alcotest.(check bool) "transcript is not empty" true (pairs <> [])
+
+let () =
+  Alcotest.run "golden"
+    [
+      ( "replies",
+        [ Alcotest.test_case "solver verbs byte for byte" `Quick test_replay ] );
+    ]

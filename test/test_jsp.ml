@@ -53,21 +53,22 @@ let test_budget_helpers () =
 
 (* ---- Objective ----------------------------------------------------------- *)
 
+let score objective ~alpha jury =
+  Engine.Objective.score_workers objective ~alpha jury
+
 let test_objective_empty () =
   let empty = Workers.Pool.of_list [] in
-  let bucket = Jsp.Objective.bv_bucket () in
-  check_float "bucket empty" 0.7 (bucket.Jsp.Objective.score ~alpha:0.7 empty);
-  check_float "exact empty" 0.7 (Jsp.Objective.bv_exact.Jsp.Objective.score ~alpha:0.7 empty);
+  check_float "bucket empty" 0.7
+    (score (Engine.Objective.bv_bucket ()) ~alpha:0.7 empty);
+  check_float "exact empty" 0.7 (score Engine.Objective.bv_exact ~alpha:0.7 empty);
   (* MV with no jury answers 1; correct with probability 1 - alpha. *)
-  check_close 1e-12 "mv empty" 0.3
-    (Jsp.Objective.mv_closed.Jsp.Objective.score ~alpha:0.7 empty)
+  check_close 1e-12 "mv empty" 0.3 (score Engine.Objective.mv_closed ~alpha:0.7 empty)
 
 let test_objective_agreement =
   qtest "bucket objective tracks exact objective" pool_gen (fun pool ->
-      let bucket = Jsp.Objective.bv_bucket ~num_buckets:2000 () in
+      let bucket = Engine.Objective.bv_bucket ~num_buckets:2000 () in
       Float.abs
-        (bucket.Jsp.Objective.score ~alpha:0.5 pool
-        -. Jsp.Objective.bv_exact.Jsp.Objective.score ~alpha:0.5 pool)
+        (score bucket ~alpha:0.5 pool -. score Engine.Objective.bv_exact ~alpha:0.5 pool)
       < 0.01)
 
 (* ---- Enumerate ------------------------------------------------------------ *)
@@ -78,17 +79,17 @@ let brute_force objective ~alpha ~budget pool =
     (fun best jury ->
       if not (Jsp.Budget.feasible ~budget jury) then best
       else
-        let score = objective.Jsp.Objective.score ~alpha jury in
+        let s = score objective ~alpha jury in
         match best with
-        | Some (_, s) when s >= score -> best
-        | _ -> Some (jury, score))
+        | Some (_, b) when b >= s -> best
+        | _ -> Some (jury, s))
     None (Workers.Pool.subsets pool)
 
 let test_enumerate_matches_brute_force =
   qtest ~count:60 "enumerate finds the optimum" (QCheck2.Gen.pair pool_gen budget_gen)
     (fun (pool, budget) ->
-      let r = Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool in
-      match brute_force Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool with
+      let r = Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool in
+      match brute_force Engine.Objective.bv_exact ~alpha:0.5 ~budget pool with
       | Some (_, best) -> Float.abs (r.Jsp.Solver.score -. best) < 1e-9
       | None -> false)
 
@@ -100,7 +101,7 @@ let test_enumerate_feasible =
 
 let test_enumerate_fig1 () =
   (* The paper's budget-quality table (Figure 1): JQ values are exact. *)
-  let solve b = Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:b fig1 in
+  let solve b = Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:b fig1 in
   check_close 1e-9 "B=5" 0.75 (solve 5.).Jsp.Solver.score;
   check_close 1e-9 "B=10" 0.80 (solve 10.).Jsp.Solver.score;
   check_close 1e-9 "B=15" 0.845 (solve 15.).Jsp.Solver.score;
@@ -131,7 +132,7 @@ let test_special_classify () =
     (Jsp.Special.classify ~budget:4. uniform = Jsp.Special.Uniform_cost 2.)
 
 let test_special_all_affordable () =
-  match Jsp.Special.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:37. fig1 with
+  match Jsp.Special.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:37. fig1 with
   | Some r -> check_int "everyone" 7 (Workers.Pool.size r.Jsp.Solver.jury)
   | None -> Alcotest.fail "fast path expected"
 
@@ -140,21 +141,21 @@ let test_special_uniform_topk () =
     Workers.Pool.of_list
       [ w ~id:0 ~q:0.6 ~c:2.; w ~id:1 ~q:0.9 ~c:2.; w ~id:2 ~q:0.8 ~c:2.; w ~id:3 ~q:0.7 ~c:2. ]
   in
-  (match Jsp.Special.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform with
+  (match Jsp.Special.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform with
   | Some r ->
       check_int "two workers" 2 (Workers.Pool.size r.Jsp.Solver.jury);
       Alcotest.(check (array (float 1e-9))) "top 2 by quality" [| 0.9; 0.8 |]
         (Workers.Pool.qualities r.Jsp.Solver.jury)
   | None -> Alcotest.fail "fast path expected");
   (* Fast-path answer equals the exhaustive optimum (Lemma 2). *)
-  let exact = Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform in
-  (match Jsp.Special.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform with
+  let exact = Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform in
+  (match Jsp.Special.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:4.5 uniform with
   | Some r -> check_close 1e-9 "matches exact" exact.Jsp.Solver.score r.Jsp.Solver.score
   | None -> Alcotest.fail "fast path expected")
 
 let test_special_none_for_general () =
   check_bool "general has no fast path" true
-    (Jsp.Special.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget:10. fig1 = None)
+    (Jsp.Special.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget:10. fig1 = None)
 
 let test_top_k () =
   let top = Jsp.Special.top_k_by_quality 3 fig1 in
@@ -166,14 +167,24 @@ let test_top_k () =
 let light_params =
   { Jsp.Annealing.default_params with epsilon = 1e-4 }
 
+(* The paper-path view of the annealer: a scalar pool under the binary
+   task, the jury mapped back to scalars.  [objective] defaults to OPTJS;
+   [scratch] is the from-scratch bucket-BV objective. *)
+let anneal ?params ?objective ?cache ~rng ~alpha ~budget pool =
+  Jsp.Solver.map_jury Engine.Pool.to_workers_exn
+    (Jsp.Annealing.solve_engine ?params ?objective ?cache ~rng
+       ~task:(Engine.Task.binary ~alpha) ~budget (Engine.Pool.of_workers pool))
+
+let scratch = Engine.Objective.bv_bucket ()
+
 let test_annealing_feasible =
   qtest ~count:60 "annealed jury is feasible"
     (QCheck2.Gen.triple pool_gen budget_gen (QCheck2.Gen.int_range 0 1000))
     (fun (pool, budget, seed) ->
       let rng = Prob.Rng.create seed in
       let r =
-        Jsp.Annealing.solve ~params:light_params (Jsp.Objective.bv_bucket ()) ~rng
-          ~alpha:0.5 ~budget pool
+        anneal ~params:light_params ~objective:scratch ~rng ~alpha:0.5 ~budget
+          pool
       in
       Jsp.Budget.feasible ~budget r.Jsp.Solver.jury)
 
@@ -182,8 +193,8 @@ let test_annealing_deterministic () =
     Workers.Pool.of_list (List.init 8 (fun id -> w ~id ~q:(0.55 +. (0.05 *. float_of_int id)) ~c:(1. +. (0.3 *. float_of_int id))))
   in
   let solve seed =
-    Jsp.Annealing.solve ~params:light_params (Jsp.Objective.bv_bucket ())
-      ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget:4. pool
+    anneal ~params:light_params ~objective:scratch ~rng:(Prob.Rng.create seed)
+      ~alpha:0.5 ~budget:4. pool
   in
   let a = solve 5 and b = solve 5 in
   check_bool "same jury" true (Workers.Pool.equal a.Jsp.Solver.jury b.Jsp.Solver.jury);
@@ -199,10 +210,10 @@ let test_annealing_near_optimal () =
       Workers.Generator.gaussian_pool rng Workers.Generator.default 10
     in
     let budget = 0.3 in
-    let objective = Jsp.Objective.bv_bucket () in
+    let objective = Engine.Objective.bv_bucket () in
     let star = Jsp.Enumerate.solve objective ~alpha:0.5 ~budget pool in
     let hat =
-      Jsp.Annealing.solve ~params:light_params objective ~rng ~alpha:0.5 ~budget pool
+      anneal ~params:light_params ~objective ~rng ~alpha:0.5 ~budget pool
     in
     worst_gap := Float.max !worst_gap (star.Jsp.Solver.score -. hat.Jsp.Solver.score)
   done;
@@ -211,23 +222,23 @@ let test_annealing_near_optimal () =
 let test_annealing_keep_best () =
   (* keep_best can only improve on the literal final state. *)
   let pool = Workers.Generator.gaussian_pool (Prob.Rng.create 1) Workers.Generator.default 12 in
-  let objective = Jsp.Objective.bv_bucket () in
+  let objective = Engine.Objective.bv_bucket () in
   let final =
-    Jsp.Annealing.solve
+    anneal
       ~params:{ light_params with keep_best = false }
-      objective ~rng:(Prob.Rng.create 3) ~alpha:0.5 ~budget:0.3 pool
+      ~objective ~rng:(Prob.Rng.create 3) ~alpha:0.5 ~budget:0.3 pool
   in
   let best =
-    Jsp.Annealing.solve
+    anneal
       ~params:{ light_params with keep_best = true }
-      objective ~rng:(Prob.Rng.create 3) ~alpha:0.5 ~budget:0.3 pool
+      ~objective ~rng:(Prob.Rng.create 3) ~alpha:0.5 ~budget:0.3 pool
   in
   check_bool "best >= final" true (best.Jsp.Solver.score >= final.Jsp.Solver.score -. 1e-12)
 
 let test_annealing_empty_pool () =
   let r =
-    Jsp.Annealing.solve (Jsp.Objective.bv_bucket ()) ~rng:(Prob.Rng.create 0)
-      ~alpha:0.5 ~budget:1. (Workers.Pool.of_list [])
+    anneal ~objective:scratch ~rng:(Prob.Rng.create 0) ~alpha:0.5 ~budget:1.
+      (Workers.Pool.of_list [])
   in
   check_int "empty jury" 0 (Workers.Pool.size r.Jsp.Solver.jury)
 
@@ -235,14 +246,14 @@ let test_annealing_params_validation () =
   let bad f =
     Alcotest.check_raises "params" (Invalid_argument f) (fun () ->
         ignore
-          (Jsp.Annealing.solve
+          (anneal
              ~params:
                (match f with
                | "Annealing: epsilon <= 0" -> { light_params with epsilon = 0. }
                | "Annealing: cooling <= 1" -> { light_params with cooling = 1. }
                | _ -> { light_params with t_initial = 1e-9; epsilon = 1e-4 })
-             (Jsp.Objective.bv_bucket ()) ~rng:(Prob.Rng.create 0) ~alpha:0.5
-             ~budget:1. fig1))
+             ~objective:scratch ~rng:(Prob.Rng.create 0) ~alpha:0.5 ~budget:1.
+             fig1))
   in
   bad "Annealing: epsilon <= 0";
   bad "Annealing: cooling <= 1";
@@ -250,10 +261,9 @@ let test_annealing_params_validation () =
 
 let test_annealing_moves_override () =
   let r =
-    Jsp.Annealing.solve
+    anneal
       ~params:{ light_params with moves_per_temp = Some 3 }
-      (Jsp.Objective.bv_bucket ()) ~rng:(Prob.Rng.create 0) ~alpha:0.5 ~budget:10.
-      fig1
+      ~objective:scratch ~rng:(Prob.Rng.create 0) ~alpha:0.5 ~budget:10. fig1
   in
   check_bool "still feasible" true (Jsp.Budget.feasible ~budget:10. r.Jsp.Solver.jury)
 
@@ -266,9 +276,8 @@ let test_annealing_cached_bit_identical =
     (QCheck2.Gen.triple pool_gen budget_gen (QCheck2.Gen.int_range 0 1000))
     (fun (pool, budget, seed) ->
       let solve cache =
-        Jsp.Annealing.solve ~params:light_params ~cache
-          (Jsp.Objective.bv_bucket ()) ~rng:(Prob.Rng.create seed) ~alpha:0.5
-          ~budget pool
+        anneal ~params:light_params ~objective:scratch ~cache
+          ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget pool
       in
       let plain = solve false and cached = solve true in
       Workers.Pool.equal plain.Jsp.Solver.jury cached.Jsp.Solver.jury
@@ -290,8 +299,8 @@ let test_annealing_incremental_cached_reproducible =
     (QCheck2.Gen.triple pool_gen budget_gen (QCheck2.Gen.int_range 0 1000))
     (fun (pool, budget, seed) ->
       let solve cache =
-        Jsp.Annealing.solve_incremental ~params:light_params ~cache
-          (Jsp.Objective.bv_bucket_incremental ())
+        anneal ~params:light_params ~cache
+          ~objective:(Engine.Objective.bv_bucket_incremental ())
           ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget pool
       in
       let plain = solve false and cached = solve true in
@@ -309,11 +318,12 @@ let test_annealing_incremental_feasible =
     (QCheck2.Gen.triple pool_gen budget_gen (QCheck2.Gen.int_range 0 1000))
     (fun (pool, budget, seed) ->
       let optjs =
-        Jsp.Annealing.solve_optjs ~params:light_params
-          ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget pool
+        anneal ~params:light_params ~rng:(Prob.Rng.create seed) ~alpha:0.5
+          ~budget pool
       in
       let mvjs =
-        Jsp.Annealing.solve_mvjs ~params:light_params
+        anneal ~params:light_params
+          ~objective:Engine.Objective.mv_closed_incremental
           ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget pool
       in
       Jsp.Budget.feasible ~budget optjs.Jsp.Solver.jury
@@ -322,8 +332,8 @@ let test_annealing_incremental_feasible =
 let test_annealing_incremental_deterministic () =
   let pool = Workers.Generator.gaussian_pool (Prob.Rng.create 11) Workers.Generator.default 12 in
   let solve () =
-    Jsp.Annealing.solve_optjs ~params:light_params ~rng:(Prob.Rng.create 7)
-      ~alpha:0.5 ~budget:0.3 pool
+    anneal ~params:light_params ~rng:(Prob.Rng.create 7) ~alpha:0.5 ~budget:0.3
+      pool
   in
   let a = solve () and b = solve () in
   check_bool "same jury" true (Workers.Pool.equal a.Jsp.Solver.jury b.Jsp.Solver.jury);
@@ -342,12 +352,12 @@ let test_annealing_incremental_near_optimal () =
   for _ = 1 to 25 do
     let pool = Workers.Generator.gaussian_pool rng Workers.Generator.default 10 in
     let budget = 0.3 in
-    let star = Jsp.Enumerate.solve (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget pool in
+    let star = Jsp.Enumerate.solve (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget pool in
     let base_seed = Prob.Rng.int rng 1_000_000 in
     let best = ref neg_infinity in
     for restart = 0 to 2 do
       let hat =
-        Jsp.Annealing.solve_optjs ~params:light_params
+        anneal ~params:light_params
           ~rng:(Prob.Rng.create (base_seed + restart))
           ~alpha:0.5 ~budget pool
       in
@@ -359,11 +369,11 @@ let test_annealing_incremental_near_optimal () =
 
 let test_annealing_mvjs_incremental_score_scale () =
   (* The reported score must be the closed-form MV JQ of the returned jury
-     (the incremental engine re-scores through Objective.mv_closed). *)
+     (the incremental run re-scores through Engine.Objective.mv_closed). *)
   let pool = Workers.Generator.gaussian_pool (Prob.Rng.create 5) Workers.Generator.default 12 in
   let r =
-    Jsp.Annealing.solve_mvjs ~params:light_params ~rng:(Prob.Rng.create 9)
-      ~alpha:0.4 ~budget:0.3 pool
+    anneal ~params:light_params ~objective:Engine.Objective.mv_closed_incremental
+      ~rng:(Prob.Rng.create 9) ~alpha:0.4 ~budget:0.3 pool
   in
   check_close 1e-9 "score = Mv_closed.jq of jury"
     (Jq.Mv_closed.jq ~alpha:0.4 ~qualities:(Workers.Pool.qualities r.Jsp.Solver.jury))
@@ -372,7 +382,7 @@ let test_annealing_mvjs_incremental_score_scale () =
 let test_annealing_cache_stats_populated () =
   let pool = Workers.Generator.gaussian_pool (Prob.Rng.create 2) Workers.Generator.default 20 in
   let r =
-    Jsp.Annealing.solve_optjs ~rng:(Prob.Rng.create 1) ~alpha:0.5 ~budget:0.3 pool
+    anneal ~rng:(Prob.Rng.create 1) ~alpha:0.5 ~budget:0.3 pool
   in
   match r.Jsp.Solver.cache with
   | None -> Alcotest.fail "cache stats missing"
@@ -417,14 +427,14 @@ let test_objective_cache_unit () =
 let test_greedy_feasible =
   qtest "greedy juries are feasible" (QCheck2.Gen.pair pool_gen budget_gen)
     (fun (pool, budget) ->
-      let o = Jsp.Objective.bv_bucket () in
+      let o = Engine.Objective.bv_bucket () in
       List.for_all
         (fun solve ->
           Jsp.Budget.feasible ~budget (solve o ~alpha:0.5 ~budget pool).Jsp.Solver.jury)
         [ Jsp.Greedy.by_quality; Jsp.Greedy.by_cheapest; Jsp.Greedy.by_density ])
 
 let test_greedy_by_quality_order () =
-  let r = Jsp.Greedy.by_quality (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget:9. fig1 in
+  let r = Jsp.Greedy.by_quality (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget:9. fig1 in
   (* Best affordable prefix by quality: C (0.8, $6) then G (0.75, $3). *)
   Alcotest.(check (array (float 1e-9))) "C then G" [| 0.8; 0.75 |]
     (Workers.Pool.qualities r.Jsp.Solver.jury)
@@ -432,7 +442,7 @@ let test_greedy_by_quality_order () =
 let test_greedy_cheapest_maximizes_size =
   qtest "cheapest-first picks at least as many workers"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
-      let o = Jsp.Objective.bv_bucket () in
+      let o = Engine.Objective.bv_bucket () in
       let cheap = Jsp.Greedy.by_cheapest o ~alpha:0.5 ~budget pool in
       let qual = Jsp.Greedy.by_quality o ~alpha:0.5 ~budget pool in
       Workers.Pool.size cheap.Jsp.Solver.jury >= Workers.Pool.size qual.Jsp.Solver.jury)
@@ -440,7 +450,7 @@ let test_greedy_cheapest_maximizes_size =
 let test_greedy_best_of_all =
   qtest "best_of_all dominates each greedy" (QCheck2.Gen.pair pool_gen budget_gen)
     (fun (pool, budget) ->
-      let o = Jsp.Objective.bv_bucket () in
+      let o = Engine.Objective.bv_bucket () in
       let best = Jsp.Greedy.best_of_all o ~alpha:0.5 ~budget pool in
       List.for_all
         (fun solve ->
@@ -465,7 +475,7 @@ let test_mvjs_exact_optimal =
   qtest ~count:40 "exhaustive MVJS is optimal for MV"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
       let r = Jsp.Mvjs.select_exact ~alpha:0.5 ~budget pool in
-      match brute_force Jsp.Objective.mv_closed ~alpha:0.5 ~budget pool with
+      match brute_force Engine.Objective.mv_closed ~alpha:0.5 ~budget pool with
       | Some (_, best) -> Float.abs (r.Jsp.Solver.score -. best) < 1e-9
       | None -> false)
 
@@ -474,7 +484,7 @@ let test_optjs_beats_mvjs =
      true JQ is at least the MV jury's true JQ. *)
   qtest ~count:60 "OPTJS jury (BV JQ) >= MVJS jury (MV JQ)"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
-      let opt = Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool in
+      let opt = Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool in
       let mv = Jsp.Mvjs.select_exact ~alpha:0.5 ~budget pool in
       opt.Jsp.Solver.score >= mv.Jsp.Solver.score -. 1e-9)
 
@@ -483,7 +493,7 @@ let test_optjs_beats_mvjs =
 let test_table_fig1 () =
   let table =
     Jsp.Table.build ~budgets:[ 5.; 10.; 15.; 20. ] fig1 ~solve:(fun ~budget pool ->
-        Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool)
+        Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool)
   in
   check_int "rows" 4 (List.length table);
   let qualities = List.map (fun (r : Jsp.Table.row) -> r.quality) table in
@@ -510,7 +520,7 @@ let test_table_monotone_quality () =
 (* ---- Frontier ------------------------------------------------------------------ *)
 
 let test_frontier_fig1 () =
-  let points = Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha:0.5 fig1 in
+  let points = Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha:0.5 fig1 in
   (* Strictly increasing in both coordinates. *)
   let rec strictly_monotone = function
     | (a : Jsp.Frontier.point) :: (b : Jsp.Frontier.point) :: rest ->
@@ -537,7 +547,7 @@ let test_frontier_fig1 () =
   | [] -> Alcotest.fail "empty frontier")
 
 let test_frontier_queries () =
-  let points = Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha:0.5 fig1 in
+  let points = Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha:0.5 fig1 in
   check_close 1e-9 "quality_at 15" 0.845 (Jsp.Frontier.quality_at points ~budget:15.);
   check_close 1e-9 "quality_at 0" 0.5 (Jsp.Frontier.quality_at points ~budget:0.);
   (match Jsp.Frontier.cheapest_for points ~quality:0.84 with
@@ -549,8 +559,8 @@ let test_frontier_queries () =
 let test_frontier_matches_enumerate =
   qtest ~count:40 "frontier step function = per-budget exhaustive optimum"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
-      let points = Jsp.Frontier.exact Jsp.Objective.bv_exact ~alpha:0.5 pool in
-      let star = Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool in
+      let points = Jsp.Frontier.exact Engine.Objective.bv_exact ~alpha:0.5 pool in
+      let star = Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool in
       Float.abs (Jsp.Frontier.quality_at points ~budget -. star.Jsp.Solver.score)
       < 1e-9)
 
@@ -558,7 +568,7 @@ let test_frontier_sampled_subset () =
   let points =
     Jsp.Frontier.sampled
       ~solve:(fun ~budget pool ->
-        Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool)
+        Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool)
       ~budgets:[ 3.; 6.; 14.; 18. ] fig1
   in
   check_int "four dominant points" 4 (List.length points)
@@ -568,7 +578,7 @@ let test_frontier_sampled_subset () =
 let test_beam_feasible =
   qtest "beam jury is feasible" (QCheck2.Gen.pair pool_gen budget_gen)
     (fun (pool, budget) ->
-      let r = Jsp.Beam.solve (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget pool in
+      let r = Jsp.Beam.solve (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget pool in
       Jsp.Budget.feasible ~budget r.Jsp.Solver.jury)
 
 let test_beam_wide_is_exact =
@@ -576,7 +586,7 @@ let test_beam_wide_is_exact =
      tree, hence optimal. *)
   qtest ~count:40 "wide beam matches exhaustive optimum"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
-      let objective = Jsp.Objective.bv_exact in
+      let objective = Engine.Objective.bv_exact in
       let beam = Jsp.Beam.solve ~width:1024 objective ~alpha:0.5 ~budget pool in
       let star = Jsp.Enumerate.solve objective ~alpha:0.5 ~budget pool in
       Float.abs (beam.Jsp.Solver.score -. star.Jsp.Solver.score) < 1e-9)
@@ -584,20 +594,20 @@ let test_beam_wide_is_exact =
 let test_beam_dominates_greedy =
   qtest ~count:40 "beam(32) at least as good as greedy"
     (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
-      let objective = Jsp.Objective.bv_bucket () in
+      let objective = Engine.Objective.bv_bucket () in
       let beam = Jsp.Beam.solve objective ~alpha:0.5 ~budget pool in
       let greedy = Jsp.Greedy.best_of_all objective ~alpha:0.5 ~budget pool in
       beam.Jsp.Solver.score >= greedy.Jsp.Solver.score -. 1e-9)
 
 let test_beam_deterministic () =
   let pool = Workers.Generator.gaussian_pool (Prob.Rng.create 5) Workers.Generator.default 15 in
-  let solve () = Jsp.Beam.solve (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0.3 pool in
+  let solve () = Jsp.Beam.solve (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget:0.3 pool in
   let a = solve () and b = solve () in
   check_bool "same jury" true (Workers.Pool.equal a.Jsp.Solver.jury b.Jsp.Solver.jury)
 
 let test_beam_validation () =
   Alcotest.check_raises "width" (Invalid_argument "Beam.solve: width <= 0") (fun () ->
-      ignore (Jsp.Beam.solve ~width:0 (Jsp.Objective.bv_bucket ()) ~alpha:0.5 ~budget:1. fig1))
+      ignore (Jsp.Beam.solve ~width:0 (Engine.Objective.bv_bucket ()) ~alpha:0.5 ~budget:1. fig1))
 
 (* ---- Sensitivity ----------------------------------------------------------------- *)
 
@@ -693,10 +703,38 @@ let test_multi_jsp_empty_budget () =
   check_int "empty jury" 0 (Array.length r.Jsp.Solver.jury);
   check_close 1e-9 "prior argmax score" (1. /. 3.) r.Jsp.Solver.score
 
+let test_multi_jsp_duplicate_ids () =
+  (* Two candidates share id 0; with budget 2 both fit and the engine
+     picks both.  The jury must hold each candidate once, found by
+     position — not the first candidate with that id twice — whether the
+     pool lowers to scalars (symmetric 2x2) or stays a matrix pool. *)
+  let check_both ~prior candidates =
+    let r =
+      Jsp.Multi_jsp.anneal ~rng:(Prob.Rng.create 1) ~prior ~budget:2.
+        candidates
+    in
+    check_int "both picked" 2 (Array.length r.Jsp.Solver.jury);
+    check_bool "each candidate once, in order" true
+      (r.Jsp.Solver.jury.(0) == candidates.(0)
+      && r.Jsp.Solver.jury.(1) == candidates.(1))
+  in
+  check_both ~prior:[| 0.5; 0.5 |]
+    [|
+      Workers.Confusion.symmetric_binary ~quality:0.9 ~id:0 ~cost:1.;
+      Workers.Confusion.symmetric_binary ~quality:0.6 ~id:0 ~cost:1.;
+    |];
+  let matrix d =
+    let off = (1. -. d) /. 2. in
+    Workers.Confusion.make ~id:0
+      ~matrix:[| [| d; off; off |]; [| off; d; off |]; [| off; off; d |] |]
+      ~cost:1. ()
+  in
+  check_both ~prior:uniform3 [| matrix 0.9; matrix 0.6 |]
+
 let test_table_csv () =
   let table =
     Jsp.Table.build ~budgets:[ 5. ] fig1 ~solve:(fun ~budget pool ->
-        Jsp.Enumerate.solve Jsp.Objective.bv_exact ~alpha:0.5 ~budget pool)
+        Jsp.Enumerate.solve Engine.Objective.bv_exact ~alpha:0.5 ~budget pool)
   in
   let csv = Jsp.Table.to_csv table in
   check_bool "header" true (String.length csv > 0 && String.sub csv 0 6 = "budget")
@@ -794,6 +832,8 @@ let () =
           Alcotest.test_case "greedy feasible" `Quick test_multi_jsp_greedy_feasible;
           Alcotest.test_case "exhaustive cap" `Quick test_multi_jsp_exhaustive_cap;
           Alcotest.test_case "empty budget" `Quick test_multi_jsp_empty_budget;
+          Alcotest.test_case "duplicate ids map by position" `Quick
+            test_multi_jsp_duplicate_ids;
         ] );
       ( "table",
         [

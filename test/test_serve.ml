@@ -814,14 +814,15 @@ let integration_test () =
   in
   let expected_select ~budget ~seed =
     let result =
-      Jsp.Annealing.solve_optjs ~num_buckets:buckets
-        ~rng:(Prob.Rng.create seed) ~alpha:0.5 ~budget pool
+      Jsp.Annealing.solve_engine ~num_buckets:buckets
+        ~rng:(Prob.Rng.create seed) ~task:(Engine.Task.binary ~alpha:0.5)
+        ~budget (Engine.Pool.of_workers pool)
     in
     Wire.Select_result
       {
-        ids = List.map Workers.Worker.id (Workers.Pool.to_list result.jury);
+        ids = Engine.Pool.ids result.jury;
         score = result.score;
-        cost = Workers.Pool.total_cost result.jury;
+        cost = Engine.Pool.total_cost result.jury;
       }
   in
   let expected_table ~budgets ~seed =
