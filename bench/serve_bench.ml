@@ -7,9 +7,13 @@
    sharded queues and per-domain metrics must not *lose* throughput to
    contention the way a single global lock does.
 
-   The mix is the serving hot path: same-pool jq queries (exercising the
-   batcher and the per-version memo) and selects over a rotating set of
-   seeds (exercising warm Objective_cache replays).
+   The mix is same-pool jq queries (exercising the batcher and the
+   per-version jq memo) and selects that each carry a key the row has not
+   served (a per-client seed counter), so every select is a full
+   annealing solve and the rows measure executor-bound work.  Selects
+   over a few repeated keys would be jury-memo hits, light enough that
+   clients and handoffs, not executors, bound the rows (docs/perf.md
+   records that variant).
 
    A second section exercises the connection plane over real TCP: rows
    of 100 and 1000 simultaneously open connections against a running
@@ -53,7 +57,6 @@ type row = {
 
 let pool_size = 40
 let budget = 12.
-let seeds = 8
 
 (* Closed-loop offered load is held constant across rows — two clients
    per pool — so the domain axis varies service parallelism only. *)
@@ -71,33 +74,12 @@ let bench_row ~duration ~workers ~domains =
       | Wire.Pool_info _ -> ()
       | r -> failwith ("pool-put: " ^ Wire.encode_response r))
     pool_names;
-  (* Warm-up: one thread per pool solves every seed on that pool.
-     Affinity routes each pool's solves to the executor that will own it
-     in the timed region, so measurements start from warm memo replays
-     rather than first-touch full solves. *)
-  let warm_threads =
-    Array.to_list
-      (Array.map
-         (fun pool ->
-           Thread.create
-             (fun () ->
-               for seed = 0 to seeds - 1 do
-                 ignore
-                   (Serve.Service.submit service
-                      (Wire.Select
-                         { pool; budget; prior = [ 0.5; 0.5 ]; seed }))
-               done)
-             ())
-         pool_names)
-  in
-  List.iter Thread.join warm_threads;
   let counts = Array.make n_clients (0, 0, 0) in
   let lats = Array.make n_clients [] in
   let t_start = Serve.Clock.now () in
   let t_end = t_start +. duration in
   let client i =
     let pool = pool_names.(i mod Array.length pool_names) in
-    let rng = Prob.Rng.create (100 + i) in
     let sent = ref 0 and overload = ref 0 and errors = ref 0 in
     let acc = ref [] in
     while Serve.Clock.now () < t_end do
@@ -113,8 +95,15 @@ let bench_row ~duration ~workers ~domains =
               num_buckets = Jq.Bucket.default_num_buckets;
             }
         else
+          (* Seeds i, i + n_clients, ...: no client repeats a key, and
+             no two clients share one. *)
           Wire.Select
-            { pool; budget; prior = [ 0.5; 0.5 ]; seed = Prob.Rng.int rng seeds }
+            {
+              pool;
+              budget;
+              prior = [ 0.5; 0.5 ];
+              seed = i + (n_clients * (!sent / 4));
+            }
       in
       let t0 = Serve.Clock.now () in
       let reply = Serve.Service.submit service request in

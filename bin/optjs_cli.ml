@@ -607,10 +607,10 @@ let serve_cmd =
   in
   let run port domains queue_cap deadline log_interval batch_max session_cap
       session_ttl calib_batch calib_window max_conns idle_timeout file =
-    (* Executor domains size their own minor heaps; the accept/submit
-       threads allocate here, and this domain's collections handshake
-       with every executor just the same. *)
-    Gc.set { (Gc.get ()) with minor_heap_size = 4 * 1024 * 1024 };
+    (* Executor domains size their own minor heaps (Serve.Service); the
+       event loop keeps the runtime default, since with warm reads
+       answered from memos minor collections are rare and each one
+       sweeps this domain's whole minor heap. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let calib_config =
       {
@@ -1112,7 +1112,8 @@ let loadgen_cmd =
         let q p = 1000. *. Prob.Stats.quantile arr p in
         Printf.printf "latency_ms: p50 %.2f  p95 %.2f  p99 %.2f\n" (q 0.5)
           (q 0.95) (q 0.99));
-    (* Server-side view: shows the warm-cache hit rate under this load. *)
+    (* Server-side view: memo hits and solver-cache counters under this
+       load. *)
     (let fd, ic, oc = lg_connect host port in
      (match lg_roundtrip ic oc Serve.Wire.Stats with
      | Ok (Serve.Wire.Stats_result stats) ->

@@ -3,7 +3,7 @@
     One {!Bqueue} shard per executor domain.  A request is routed by an
     [affinity] hash (the service hashes the pool name), so same-pool
     requests land on the same shard — preserving same-pool batching and
-    that shard's warm [Objective_cache] / [Jq.Incremental] state — while
+    that shard's jury and jq memos and [Jq.Incremental] state — while
     different pools spread across shards and never touch each other's
     locks.
 
@@ -18,8 +18,8 @@
       an empty shard steals a bounded front run from the longest
       neighbour.
 
-    Replies stay byte-deterministic under both: executor warm state is
-    keyed by the full request, so any executor — owner or thief —
+    Replies stay byte-deterministic under both: executor memos are keyed
+    by the full request, so any executor — owner or thief, hit or miss —
     computes the identical response. *)
 
 type 'a t

@@ -10,7 +10,9 @@ type shard = {
   mutable batches : int;
   mutable batched_saved : int;
   mutable jq_memo_hits : int;
+  mutable select_memo_hits : int;
   mutable steals : int;
+  mutable solver_cache : Jsp.Objective_cache.stats;  (* summed over solves *)
   per_verb : (string, int ref) Hashtbl.t;
   histogram : Prob.Histogram.t;      (* seconds, [0, 1] in 10 ms buckets *)
   ring : float array;                (* recent latencies, seconds *)
@@ -46,7 +48,6 @@ type t = {
   started_at : float;                (* monotonic; uptime is a difference *)
   shards : shard array;              (* executors 0 .. n-1, submitter at n *)
   sources_lock : Mutex.t;
-  mutable cache_sources : (unit -> Jsp.Objective_cache.stats) list;
   mutable session_sources : (unit -> Session.Store.stats) list;
   mutable gauge_sources : (unit -> (string * float) list) list;
 }
@@ -62,7 +63,9 @@ let fresh_shard () =
     batches = 0;
     batched_saved = 0;
     jq_memo_hits = 0;
+    select_memo_hits = 0;
     steals = 0;
+    solver_cache = Jsp.Objective_cache.empty_stats;
     per_verb = Hashtbl.create 8;
     histogram = Prob.Histogram.create ~lo:0. ~hi:1. ~buckets:100;
     ring = Array.make ring_size 0.;
@@ -100,7 +103,6 @@ let create ?(shards = 1) () =
     started_at = Clock.now ();
     shards = Array.init (shards + 1) (fun _ -> fresh_shard ());
     sources_lock = Mutex.create ();
-    cache_sources = [];
     session_sources = [];
     gauge_sources = [];
   }
@@ -141,6 +143,13 @@ let batch t ~shard ~size =
 
 let jq_memo_hit t ~shard =
   with_shard t shard (fun s -> s.jq_memo_hits <- s.jq_memo_hits + 1)
+
+let select_memo_hit t ~shard =
+  with_shard t shard (fun s -> s.select_memo_hits <- s.select_memo_hits + 1)
+
+let solver_cache t ~shard stats =
+  with_shard t shard (fun s ->
+      s.solver_cache <- Jsp.Objective_cache.merge_stats s.solver_cache stats)
 
 let steal t ~shard = with_shard t shard (fun s -> s.steals <- s.steals + 1)
 
@@ -192,11 +201,6 @@ let fleet_assign t ~shard ~ns =
 let fleet_release t ~shard =
   with_shard t shard (fun s -> s.fleet_releases <- s.fleet_releases + 1)
 
-let add_cache t ~merge =
-  Mutex.lock t.sources_lock;
-  t.cache_sources <- merge :: t.cache_sources;
-  Mutex.unlock t.sources_lock
-
 let add_sessions t ~stats =
   Mutex.lock t.sources_lock;
   t.session_sources <- stats :: t.session_sources;
@@ -219,7 +223,9 @@ type merged = {
   m_batches : int;
   m_batched_saved : int;
   m_jq_memo_hits : int;
+  m_select_memo_hits : int;
   m_steals : int;
+  m_solver_cache : Jsp.Objective_cache.stats;
   m_per_verb : (string, int) Hashtbl.t;
   m_counts : int array;
   m_latencies : float array;
@@ -245,7 +251,8 @@ let merge t =
   let requests = ref 0 and ok = ref 0 and errors = ref 0 in
   let overloads = ref 0 and deadlines = ref 0 in
   let batches = ref 0 and batched_saved = ref 0 in
-  let jq_memo_hits = ref 0 and steals = ref 0 in
+  let jq_memo_hits = ref 0 and select_memo_hits = ref 0 and steals = ref 0 in
+  let solver_cache = ref Jsp.Objective_cache.empty_stats in
   let jq_evals = ref 0 and jq_flat_fallbacks = ref 0 in
   let jq_counts = ref [||] in
   let jq_rings = ref [] in
@@ -266,7 +273,10 @@ let merge t =
           batches := !batches + s.batches;
           batched_saved := !batched_saved + s.batched_saved;
           jq_memo_hits := !jq_memo_hits + s.jq_memo_hits;
+          select_memo_hits := !select_memo_hits + s.select_memo_hits;
           steals := !steals + s.steals;
+          solver_cache :=
+            Jsp.Objective_cache.merge_stats !solver_cache s.solver_cache;
           Hashtbl.iter
             (fun verb r ->
               Hashtbl.replace per_verb verb
@@ -308,7 +318,9 @@ let merge t =
     m_batches = !batches;
     m_batched_saved = !batched_saved;
     m_jq_memo_hits = !jq_memo_hits;
+    m_select_memo_hits = !select_memo_hits;
     m_steals = !steals;
+    m_solver_cache = !solver_cache;
     m_per_verb = per_verb;
     m_counts = !counts;
     m_latencies = Array.concat !rings;
@@ -329,13 +341,11 @@ let merge t =
 
 let snapshot t =
   let m = merge t in
-  let sources, session_sources, gauge_sources =
+  let session_sources, gauge_sources =
     Mutex.lock t.sources_lock;
-    let s = t.cache_sources
-    and ss = t.session_sources
-    and gs = t.gauge_sources in
+    let ss = t.session_sources and gs = t.gauge_sources in
     Mutex.unlock t.sources_lock;
-    (s, ss, gs)
+    (ss, gs)
   in
   let f = float_of_int in
   let base =
@@ -349,6 +359,7 @@ let snapshot t =
       ("batches", f m.m_batches);
       ("batched_saved", f m.m_batched_saved);
       ("jq_memo_hits", f m.m_jq_memo_hits);
+      ("select_memo_hits", f m.m_select_memo_hits);
       ("steals", f m.m_steals);
       ("jq_evals", f m.m_jq_evals);
       ("jq_flat_fallbacks", f m.m_jq_flat_fallbacks);
@@ -361,9 +372,8 @@ let snapshot t =
     ]
     @ Hashtbl.fold (fun verb n acc -> ("req_" ^ verb, f n) :: acc) m.m_per_verb []
   in
-  (* Quantiles and cache sources run outside every shard lock: sorting the
-     merged ring is O(n log n), and the sources read executor-owned
-     counters on their own terms. *)
+  (* Quantiles and pull sources run outside every shard lock: sorting the
+     merged ring is O(n log n), and the sources take their own locks. *)
   let quantiles =
     if Array.length m.m_latencies = 0 then []
     else
@@ -410,11 +420,6 @@ let snapshot t =
         ("fleet_assign_ns_p99", q 0.99);
       ]
   in
-  let cache =
-    List.fold_left
-      (fun acc merge -> Jsp.Objective_cache.merge_stats acc (merge ()))
-      Jsp.Objective_cache.empty_stats sources
-  in
   let sessions =
     List.fold_left
       (fun acc stats -> Session.Store.add_stats acc (stats ()))
@@ -431,6 +436,7 @@ let snapshot t =
     ]
   in
   let cache_rows =
+    let cache = m.m_solver_cache in
     let lookups = cache.Jsp.Objective_cache.hits + cache.misses in
     [
       ("cache_hits", f cache.Jsp.Objective_cache.hits);

@@ -50,6 +50,17 @@ val batch : t -> shard:int -> size:int -> unit
 val jq_memo_hit : t -> shard:int -> unit
 (** Count one pool-jq query answered from the executor memo. *)
 
+val select_memo_hit : t -> shard:int -> unit
+(** Count one jury row (a [select], one [table] row or one standing-jury
+    re-selection) answered from the executor's jury memo instead of an
+    annealing run. *)
+
+val solver_cache : t -> shard:int -> Jsp.Objective_cache.stats -> unit
+(** Add the score-cache counters of one annealing solve run on [shard]
+    (its [result.cache]).  The [cache_*] rows of {!snapshot} sum these
+    over every solve actually run, so [cache_misses] rises exactly when
+    a solve runs and never on a jury-memo hit. *)
+
 val steal : t -> shard:int -> unit
 (** Count one batch obtained by work-stealing from another shard's
     queue. *)
@@ -99,27 +110,21 @@ val fleet_release : t -> shard:int -> unit
 val add_sessions : t -> stats:(unit -> Session.Store.stats) -> unit
 (** Register a pull-source of session-store counters (one per shard
     store); {!snapshot} sums every registered source into the
-    [sessions_*] rows.  Same concurrency contract as {!add_cache}. *)
+    [sessions_*] rows.  The thunk runs on the snapshotting thread and
+    must take whatever lock guards its store. *)
 
 val add_gauges : t -> gauges:(unit -> (string * float) list) -> unit
 (** Register a pull-source of free-form gauge rows appended verbatim to
     {!snapshot} (e.g. the TCP server's [conns_open]/[conns_rejected]/
     [read_timeouts] counters).  Keys should not collide with the built-in
-    rows.  Same concurrency contract as {!add_cache}: the thunk runs on
-    the snapshotting thread and may read other threads' counters
-    racily. *)
-
-val add_cache : t -> merge:(unit -> Jsp.Objective_cache.stats) -> unit
-(** Register a pull-source of solver-cache counters (one per executor);
-    {!snapshot} sums every registered source.  The thunk is called from
-    the snapshotting thread — it must be safe to run concurrently with
-    the executor (racy int reads are acceptable for monitoring). *)
+    rows.  The thunk runs on the snapshotting thread and may read other
+    threads' counters racily. *)
 
 val snapshot : t -> (string * float) list
 (** Merged values, sorted by key: [uptime_s], [requests], [ok], [errors],
     [overloads], [deadlines], [batches], [batched_saved], [jq_memo_hits],
-    [steals], [jq_evals], [jq_flat_fallbacks], [req_<verb>] per seen
-    verb,
+    [select_memo_hits], [steals], [jq_evals], [jq_flat_fallbacks],
+    [req_<verb>] per seen verb,
     [p50_ms]/[p95_ms]/[p99_ms] over recent latencies,
     [jq_eval_ns_p50]/[jq_eval_ns_p95]/[jq_eval_ns_p99] over recent kernel
     evaluations and [session_verb_ns_p50/95/99] over recent session verbs
@@ -132,7 +137,8 @@ val snapshot : t -> (string * float) list
     [sessions_expired]/[sessions_invalidated]/[sessions_rejected] rows
     summed over registered session stores, and
     [cache_hits], [cache_misses], [cache_hit_rate], [cache_entries],
-    [cache_evictions] summed over registered sources. *)
+    [cache_evictions] summed over the solves recorded by
+    {!solver_cache}.  docs/serving.md documents every key. *)
 
 val pp_line : Format.formatter -> t -> unit
 (** One-line human summary plus the merged latency-histogram buckets that

@@ -11,9 +11,9 @@
     cache correct by construction: all quality mutations flow through
     {!report} / {!recal}, every applied batch bumps the registry-wide
     generation and stamps the pool with a fresh version, and executor-side
-    caches ({!Jsp.Objective_cache}, jq memos, incremental evaluators,
-    session stores) are keyed by (name, version, ...), so there is no code
-    path that can observe recalibrated qualities through a stale cache.
+    caches (jury-row and jq memos, session stores) are keyed by
+    (name, version, ...), so there is no code path that can observe
+    recalibrated qualities through a stale cache.
 
     Drift flags raised by the calibrator mark the pool [stale]; the service
     reacts by re-solving the recorded standing juries ({!standing} /

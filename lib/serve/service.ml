@@ -40,31 +40,33 @@ type job = {
          executor domain, so it must stay cheap and never raise. *)
 }
 
-(* Warm per-executor state.  The executor domain is the only writer; the
-   stats thread reads the memo lists under [lock] (list structure is
-   immutable once published) and the Objective_cache counters racily —
-   fine for monitoring, and documented in docs/serving.md. *)
+(* A bounded memo: on reaching its cap it is emptied wholesale (the
+   Jsp.Objective_cache epoch rule), so no per-entry bookkeeping runs on a
+   hit. *)
+module Memo = struct
+  type ('k, 'v) t = { cap : int; table : ('k, 'v) Hashtbl.t }
+
+  let create cap = { cap; table = Hashtbl.create 64 }
+  let find t key = Hashtbl.find_opt t.table key
+
+  let add t key value =
+    if Hashtbl.length t.table >= t.cap then Hashtbl.reset t.table;
+    Hashtbl.replace t.table key value
+end
+
+(* One solved jury row: what a select reply or a table row carries. *)
+type row = { ids : int list; score : float; cost : float }
+
+(* Warm per-executor state, touched only by the executor's own domain. *)
 type exec = {
   shard : int;              (* This executor's queue and metrics shard. *)
-  lock : Mutex.t;
-  mutable select_memos :
-    ((string * int * float list * float * int) * Jsp.Objective_cache.t) list;
-      (* (pool, version, prior, budget, seed) -> warm solver memo.  Budget
-         and seed are part of the key on purpose: incremental objective
-         values are path-dependent at ulp level, so a memo warmed by a
-         *different* request could flip a Boltzmann accept and change the
-         returned jury.  Keyed by the full request, a warm replay sees
-         exactly the values the cold run computed — responses stay
-         byte-identical whatever the cache temperature.  (The annealer
-         additionally salts keys, but the full-request key also keeps each
-         request's working set from evicting another's.) *)
-  mutable retired : Jsp.Objective_cache.stats;
-      (* Counters of memos dropped by the LRU cap, so hit-rates never
-         regress in the stats output. *)
-  mutable jq_memo :
-    ((string * int * float list * int) * (float * float * int)) list;
+  rows : (string * int * float list * float * int, row) Memo.t;
+      (* (pool, version, prior, budget, seed) -> solved row.  Annealing is
+         a deterministic function of that key (the bucket count is fixed
+         per service), so a hit answers exactly what a fresh solve would. *)
+  jq_memo : (string * int * float list * int, float * float * int) Memo.t;
       (* (pool, version, prior, buckets) -> (value, bound, n). *)
-  mutable incs : ((float * int) * Jq.Incremental.t) list;
+  incs : (float * int, Jq.Incremental.t) Memo.t;
       (* (alpha, buckets) -> reusable fixed-width evaluator (binary pools). *)
   workspace : Jq.Workspace.t;
       (* Dense-kernel scratch, owned by this executor domain alone: jq
@@ -72,7 +74,7 @@ type exec = {
          allocating.  Never handed to another domain (see Jq.Workspace). *)
 }
 
-let select_memo_cap = 32
+let row_memo_cap = 1024
 let jq_memo_cap = 128
 let inc_cap = 8
 
@@ -114,48 +116,14 @@ let with_lock lock f =
 
 (* ---- executor-side evaluation -------------------------------------- *)
 
-let exec_cache_stats exec =
-  with_lock exec.lock (fun () ->
-      List.fold_left
-        (fun acc (_, memo) ->
-          Jsp.Objective_cache.merge_stats acc (Jsp.Objective_cache.stats memo))
-        exec.retired exec.select_memos)
-
-let truncate_assoc ~cap ~drop list =
-  if List.length list <= cap then list
-  else begin
-    let kept = List.filteri (fun i _ -> i < cap) list in
-    List.iteri (fun i entry -> if i >= cap then drop entry) list;
-    kept
-  end
-
-let select_memo exec ~pool_name ~version ~prior ~budget ~seed ~n =
-  with_lock exec.lock (fun () ->
-      let key = (pool_name, version, prior, budget, seed) in
-      match List.assoc_opt key exec.select_memos with
-      | Some memo -> memo
-      | None ->
-          let memo = Jsp.Objective_cache.create ~n () in
-          exec.select_memos <-
-            truncate_assoc ~cap:select_memo_cap
-              ~drop:(fun (_, old) ->
-                exec.retired <-
-                  Jsp.Objective_cache.merge_stats exec.retired
-                    (Jsp.Objective_cache.stats old))
-              ((key, memo) :: exec.select_memos);
-          memo)
-
 let incremental_for exec ~alpha ~num_buckets =
-  with_lock exec.lock (fun () ->
-      let key = (alpha, num_buckets) in
-      match List.assoc_opt key exec.incs with
-      | Some inc -> inc
-      | None ->
-          let inc = Jq.Incremental.create ~num_buckets ~alpha () in
-          exec.incs <-
-            truncate_assoc ~cap:inc_cap ~drop:(fun _ -> ())
-              ((key, inc) :: exec.incs);
-          inc)
+  let key = (alpha, num_buckets) in
+  match Memo.find exec.incs key with
+  | Some inc -> inc
+  | None ->
+      let inc = Jq.Incremental.create ~num_buckets ~alpha () in
+      Memo.add exec.incs key inc;
+      inc
 
 let unknown_pool name =
   Wire.Error
@@ -200,9 +168,7 @@ let eval_jq_pool t exec ~name ~prior ~num_buckets =
       else
         let key = (name, version, prior, num_buckets) in
         let value, bound, n =
-          match
-            with_lock exec.lock (fun () -> List.assoc_opt key exec.jq_memo)
-          with
+          match Memo.find exec.jq_memo key with
           | Some hit ->
               Metrics.jq_memo_hit t.metrics ~shard:exec.shard;
               hit
@@ -233,10 +199,7 @@ let eval_jq_pool t exec ~name ~prior ~num_buckets =
               in
               Metrics.jq_eval t.metrics ~shard:exec.shard
                 ~ns:(1e9 *. (Clock.now () -. t0));
-              with_lock exec.lock (fun () ->
-                  exec.jq_memo <-
-                    truncate_assoc ~cap:jq_memo_cap ~drop:(fun _ -> ())
-                      ((key, entry) :: exec.jq_memo));
+              Memo.add exec.jq_memo key entry;
               entry
         in
         Wire.Jq_result { value; error_bound = bound; n }
@@ -264,14 +227,33 @@ let eval_jq_inline t exec ~qualities ~prior ~num_buckets =
           message = "inline qualities are binary: prior must have 2 labels";
         }
 
+(* A memo hit skips the annealer; a miss runs it with its own fresh score
+   cache, exactly as a never-seen key does, and stores the row only once
+   the solve has returned. *)
 let solve_select t exec ~pool ~version ~pool_name ~budget ~prior ~seed =
-  let memo =
-    select_memo exec ~pool_name ~version ~prior ~budget ~seed
-      ~n:(Engine.Pool.size pool)
-  in
-  let rng = Prob.Rng.create seed in
-  Jsp.Annealing.solve_engine ~num_buckets:t.num_buckets ~memo ~rng
-    ~task:(task_of_prior prior) ~budget pool
+  let key = (pool_name, version, prior, budget, seed) in
+  match Memo.find exec.rows key with
+  | Some row ->
+      Metrics.select_memo_hit t.metrics ~shard:exec.shard;
+      row
+  | None ->
+      let result =
+        Jsp.Annealing.solve_engine ~num_buckets:t.num_buckets
+          ~rng:(Prob.Rng.create seed) ~task:(task_of_prior prior) ~budget pool
+      in
+      Option.iter
+        (Metrics.solver_cache t.metrics ~shard:exec.shard)
+        result.Jsp.Solver.cache;
+      let jury = result.Jsp.Solver.jury in
+      let row =
+        {
+          ids = Engine.Pool.ids jury;
+          score = result.Jsp.Solver.score;
+          cost = Engine.Pool.total_cost jury;
+        }
+      in
+      Memo.add exec.rows key row;
+      row
 
 let eval_select t exec ~name ~budget ~prior ~seed =
   match Registry.find t.registry name with
@@ -280,22 +262,17 @@ let eval_select t exec ~name ~budget ~prior ~seed =
       if List.length prior <> Engine.Pool.labels pool then
         prior_mismatch ~prior ~labels:(Engine.Pool.labels pool)
       else
-        let result =
+        let row =
           solve_select t exec ~pool ~version ~pool_name:name ~budget ~prior
             ~seed
         in
-        let ids = Engine.Pool.ids result.Jsp.Solver.jury in
-        Registry.note_standing t.registry ~name ~budget ~prior ~seed ~jury:ids;
-        Wire.Select_result
-          {
-            ids;
-            score = result.Jsp.Solver.score;
-            cost = Engine.Pool.total_cost result.Jsp.Solver.jury;
-          }
+        Registry.note_standing t.registry ~name ~budget ~prior ~seed
+          ~jury:row.ids;
+        Wire.Select_result { ids = row.ids; score = row.score; cost = row.cost }
 
-(* Each row is solved exactly as the equivalent [select] (fresh RNG from
-   the same seed, same memo key), so a table is byte-wise consistent with
-   row-by-row selects. *)
+(* Each row is solved exactly as the equivalent [select] (same memo key,
+   fresh RNG from the same seed on a miss), so a table is byte-wise
+   consistent with row-by-row selects. *)
 let eval_table t exec ~name ~budgets ~prior ~seed =
   match Registry.find t.registry name with
   | None -> unknown_pool name
@@ -306,15 +283,15 @@ let eval_table t exec ~name ~budgets ~prior ~seed =
         let rows =
           List.map
             (fun budget ->
-              let result =
+              let row =
                 solve_select t exec ~pool ~version ~pool_name:name ~budget
                   ~prior ~seed
               in
               {
                 Wire.budget;
-                ids = Engine.Pool.ids result.Jsp.Solver.jury;
-                quality = result.Jsp.Solver.score;
-                required = Engine.Pool.total_cost result.Jsp.Solver.jury;
+                ids = row.ids;
+                quality = row.score;
+                required = row.cost;
               })
             budgets
         in
@@ -323,10 +300,10 @@ let eval_table t exec ~name ~budgets ~prior ~seed =
 (* ---- quality plane --------------------------------------------------- *)
 
 (* Drift-triggered re-selection: re-solve every standing jury recorded for
-   the pool against its freshly bumped version.  Each spec re-runs the
-   annealer exactly as the equivalent [select] would (fresh RNG, version-
-   keyed memo), so the refreshed juries are byte-identical to what a
-   client re-issuing the original requests would get. *)
+   the pool against its freshly bumped version.  Each spec goes through
+   [solve_select] exactly as the equivalent [select] would (same
+   version-keyed memo row), so the refreshed juries are byte-identical to
+   what a client re-issuing the original requests would get. *)
 let reselect_standing t exec ~name =
   match Registry.find t.registry name with
   | None -> 0
@@ -339,11 +316,11 @@ let reselect_standing t exec ~name =
           let juries =
             List.map
               (fun (budget, prior, seed, _old) ->
-                let result =
+                let row =
                   solve_select t exec ~pool ~version ~pool_name:name ~budget
                     ~prior ~seed
                 in
-                (budget, prior, seed, Engine.Pool.ids result.Jsp.Solver.jury))
+                (budget, prior, seed, row.ids))
               specs
           in
           Registry.refresh_standing t.registry ~name ~juries;
@@ -504,7 +481,7 @@ let eval_session_open t exec ~pool_name ~task_name ~prior ~budget ~confidence
 
 (* Look up a live session under its home store's lock and run [f] on it.
    The registry is consulted first so a pool-put between two votes
-   invalidates the session here, not at some later sweep. *)
+   invalidates a soliciting session here, not at some later sweep. *)
 let with_session t ~pool_name ~task_name f =
   match Registry.find t.registry pool_name with
   | None -> unknown_pool pool_name
@@ -931,15 +908,12 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
         let exec =
           {
             shard;
-            lock = Mutex.create ();
-            select_memos = [];
-            retired = Jsp.Objective_cache.empty_stats;
-            jq_memo = [];
-            incs = [];
+            rows = Memo.create row_memo_cap;
+            jq_memo = Memo.create jq_memo_cap;
+            incs = Memo.create inc_cap;
             workspace = Jq.Workspace.create ();
           }
         in
-        Metrics.add_cache t.metrics ~merge:(fun () -> exec_cache_stats exec);
         Domain.spawn (fun () -> executor_loop t exec));
   t
 

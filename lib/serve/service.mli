@@ -15,30 +15,31 @@
     domain and merged only at snapshot time, so completing a request
     takes no lock contended across domains.
 
-    Each executor domain owns warm state keyed by pool version:
+    Each executor domain owns warm state keyed by pool version, touched
+    by that domain alone:
 
-    - one {!Jsp.Objective_cache} per (pool, version, prior, budget, seed)
-      — passed to {!Jsp.Annealing.solve_engine} via its [?memo] hook, so a
-      repeated [select]/[table] query starts its solve with every score of
-      the previous identical run already cached (budget and seed are in
-      the key deliberately: incremental objective values are
-      path-dependent at ulp level, and a memo warmed by a different
-      request could flip an accept decision and change the reply);
+    - a jury memo from (pool, version, prior, budget, seed) to the solved
+      row (jury ids, score, cost), bounded at {!row_memo_cap} rows and
+      emptied wholesale on reaching it.  [select], every [table] row and
+      drift-triggered re-selection share it; a hit answers without
+      running the annealer, and a miss runs
+      {!Jsp.Annealing.solve_engine} with its own fresh score cache, the
+      same solve a never-seen key gets;
     - one reusable {!Jq.Incremental} evaluator per (alpha, buckets), used
       for [jq] over binary pools: {!Jq.Incremental.reset} + re-adding the
-      pool reuses the grown key-map arrays, memoized per pool version.
-      Matrix-pool [jq] runs the ℓ-tuple bucket estimator and shares the
-      same (pool, version, prior, buckets) memo;
+      pool reuses the grown key-map arrays, and the answers are memoized
+      per (pool, version, prior, buckets).  Matrix-pool [jq] runs the
+      ℓ-tuple bucket estimator under the same memo;
     - batching: consecutive queued [jq] queries naming the same (pool,
       prior, buckets) are popped together and answered with a single
       evaluation — same-pool affinity routing keeps such runs on one
       shard, so sharding does not break coalescing.
 
-    Caching is invisible in results: solver scores are deterministic
-    functions of (pool, version, prior, budget, seed) regardless of cache
-    warmth, so any executor — warm or cold, owner or work-stealing thief
-    — returns byte-identical responses, whichever worker model the pool
-    holds.
+    Caching is invisible in results: a jury is a deterministic function
+    of (pool, version, prior, budget, seed) and the service's fixed
+    bucket count, so any executor — memo hit or miss, owner or
+    work-stealing thief — returns byte-identical responses, whichever
+    worker model the pool holds.
 
     Sequential sessions ({!Session.Task}) live in per-shard
     {!Session.Store}s indexed by the same pool-name hash that routes the
@@ -47,18 +48,20 @@
     spilled session job mutates the home store consistently.  Session
     replies are pure functions of (pool contents, vote history, request)
     — byte-deterministic at any cache warmth — and a [pool-put] bumping
-    the registry version invalidates the pool's open sessions on their
-    next touch.
+    the registry version invalidates the pool's still-soliciting
+    sessions on their next touch (a terminal session keeps serving its
+    snapshot until [close]).
 
     The live quality plane rides the same machinery: [report]/[recal]
     (and decided sessions auto-feeding their votes) mutate the pool's
     streaming calibrator through {!Registry.report}; an applied batch
-    bumps the pool version, so every warm cache and open session keyed by
-    the old version invalidates exactly as under [pool-put].  Drift flags
-    mark the pool stale, and the executor reacts inline by re-solving the
-    pool's recorded standing juries ([select] requests register them)
-    before replying — visible in [stats] as [recal_runs], [drift_flags],
-    [stale_pools] and the [ingest_ns_p*] latency trio.
+    bumps the pool version, so every memo row and still-soliciting
+    session keyed by the old version invalidates exactly as under
+    [pool-put].  Drift flags mark the pool stale, and the executor reacts
+    inline by re-solving the pool's recorded standing juries ([select]
+    requests register them) before replying — visible in [stats] as
+    [recal_runs], [drift_flags], [stale_pools] and the [ingest_ns_p*]
+    latency trio.
 
     The fleet plane ([fleet-submit]/[fleet-status]/[fleet-release])
     shares a {!Fleet.Allocator} per pool, homed on the pool's affinity
@@ -116,9 +119,13 @@ val registry : t -> Registry.t
 val metrics : t -> Metrics.t
 val domains : t -> int
 
+val row_memo_cap : int
+(** Rows each executor's jury memo holds before it is emptied. *)
+
 val stats : t -> (string * float) list
 (** {!Metrics.snapshot} plus service gauges ([domains], [queue_len],
-    [queue_capacity]), sorted by key — the payload of the [stats] verb. *)
+    [queue_capacity], [stale_pools], [drift_flags]), sorted by key — the
+    payload of the [stats] verb.  docs/serving.md lists every key. *)
 
 val shutdown : t -> unit
 (** Close the queue, finish already-admitted work, and join the executor

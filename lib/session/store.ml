@@ -101,7 +101,8 @@ let find t ~pool ~task ~now ~version =
         t.expired <- t.expired + 1;
         `Expired
       end
-      else if Task.version s <> version then begin
+      else if Task.version s <> version && Task.progress s = Task.Soliciting
+      then begin
         Tbl.remove t.tbl k;
         t.invalidated <- t.invalidated + 1;
         `Invalidated

@@ -7,9 +7,10 @@
 
     - {b version invalidation}: a session snapshots its pool's registry
       version at open; {!find} is handed the registry's current version
-      and drops the session the moment they disagree, so a [pool-put]
-      invalidates in-flight sessions by construction, exactly like the
-      warm JQ caches;
+      and drops a still-soliciting session the moment they disagree, so a
+      [pool-put] invalidates in-flight sessions by construction, exactly
+      like the warm JQ caches (terminal sessions keep serving their
+      snapshot until [close] or expiry);
     - {b TTL / idle expiry}: sessions untouched for [ttl] seconds are
       dropped, lazily on access plus an amortized sweep (at most one full
       scan per ttl/4);
@@ -52,8 +53,12 @@ val find :
   version:int ->
   [ `Found of Task.t | `Missing | `Expired | `Invalidated ]
 (** Look up a live session.  [version] is the pool's {e current} registry
-    version; a mismatch evicts and reports [`Invalidated].  An idle-expired
-    entry evicts and reports [`Expired]. *)
+    version; a mismatch evicts a still-soliciting session and reports
+    [`Invalidated].  A terminal session is returned whatever the version:
+    its snapshot no longer depends on the pool (this is what keeps a
+    deciding vote whose calibration feed bumps the version from
+    invalidating its own session).  An idle-expired entry evicts and
+    reports [`Expired]. *)
 
 val remove : t -> pool:string -> task:string -> Task.t option
 (** Close: drop and return the session if present (no version check — a

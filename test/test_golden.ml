@@ -5,8 +5,8 @@
    reply the service gave.  It covers select and table on a 40-worker
    scalar pool, a 12-worker 3-label matrix pool and a 10-worker symmetric
    2x2 matrix pool (lowered to scalars), over several budgets, seeds and
-   priors, each request sent twice so the second pass runs against warm
-   memos; jq pool= on every pool; and a fleet-submit / fleet-status /
+   priors, each request sent twice so the second pass is answered from
+   the executor's memos; jq pool= on every pool; and a fleet-submit / fleet-status /
    fleet-release sequence on two pools.  Replaying it against a fresh
    service must reproduce every reply byte for byte, so any change to a
    solver, scorer or cache that moves a reply fails here. *)

@@ -254,13 +254,20 @@ let test_bucketize_nearest =
           (fun phi b -> Float.abs (phi -. (float_of_int b *. delta)) <= (delta /. 2.) +. 1e-12)
           logits buckets)
 
-let test_bucket_more_buckets_tighter =
-  qtest ~count:100 "finer buckets never hurt much" (jury_gen reliable_gen) (fun qs ->
-      let coarse = Jq.Bucket.estimate ~num_buckets:10 qs in
-      let fine = Jq.Bucket.estimate ~num_buckets:1000 qs in
-      (* Both undershoot the exact value; the fine one must be closer. *)
+(* What §4.4 certifies: each estimate lies within its own bound
+   e^(nδ/4) − 1 of the exact JQ, and that bound shrinks with the bucket
+   width.  (A finer estimate need not land closer than a coarser one.) *)
+let test_bucket_finer_bound =
+  qtest ~count:100 "finer buckets tighten the bound" (jury_gen reliable_gen)
+    (fun qs ->
       let exact = Jq.Exact.jq_optimal ~alpha:0.5 ~qualities:qs in
-      exact -. fine <= (exact -. coarse) +. 1e-6)
+      let within (s : Jq.Bucket.stats) =
+        Float.abs (exact -. s.value) <= s.error_bound +. 1e-9
+      in
+      let coarse = Jq.Bucket.estimate_stats ~num_buckets:10 qs in
+      let fine = Jq.Bucket.estimate_stats ~num_buckets:1000 qs in
+      within coarse && within fine
+      && fine.Jq.Bucket.error_bound <= coarse.Jq.Bucket.error_bound)
 
 (* ---- Flat dense kernel vs hashtable baseline ------------------------------- *)
 
@@ -995,7 +1002,7 @@ let () =
             test_bucket_stats_instrumentation;
           Alcotest.test_case "validation" `Quick test_bucket_validation;
           test_bucketize_nearest;
-          test_bucket_more_buckets_tighter;
+          test_bucket_finer_bound;
         ] );
       ( "kernels",
         [

@@ -606,6 +606,15 @@ let metrics_event_gen =
         return `Deadline;
         (int_range 2 6 >>= fun size -> return (`Batch size));
         return `Jq_memo_hit;
+        return `Select_memo_hit;
+        ( int_range 0 50 >>= fun hits ->
+          int_range 1 50 >>= fun misses ->
+          int_range 0 50 >>= fun entries ->
+          int_range 0 2 >>= fun evictions ->
+          return
+            (`Solver_cache
+              { Jsp.Objective_cache.hits; misses; evals_saved = hits; entries;
+                evictions }) );
         return `Steal;
         (float_range 100. 5e6 >>= fun ns -> return (`Jq_eval ns));
         (int_range 0 3 >>= fun count -> return (`Flat_fallback count));
@@ -639,7 +648,9 @@ let metrics_merge_qcheck =
       let requests = ref 0 and ok = ref 0 and errors = ref 0 in
       let overloads = ref 0 and deadlines = ref 0 in
       let batches = ref 0 and batched_saved = ref 0 in
-      let jq_memo_hits = ref 0 and steals = ref 0 in
+      let jq_memo_hits = ref 0 and select_memo_hits = ref 0 in
+      let steals = ref 0 in
+      let solver_cache = ref Jsp.Objective_cache.empty_stats in
       let jq_flat_fallbacks = ref 0 in
       let jq_ns = ref [] in
       let session_ns = ref [] in
@@ -671,6 +682,12 @@ let metrics_merge_qcheck =
           | `Jq_memo_hit ->
               Serve.Metrics.jq_memo_hit m ~shard:(shard_of i);
               incr jq_memo_hits
+          | `Select_memo_hit ->
+              Serve.Metrics.select_memo_hit m ~shard:(shard_of i);
+              incr select_memo_hits
+          | `Solver_cache stats ->
+              Serve.Metrics.solver_cache m ~shard:(shard_of i) stats;
+              solver_cache := Jsp.Objective_cache.merge_stats !solver_cache stats
           | `Steal ->
               Serve.Metrics.steal m ~shard:(shard_of i);
               incr steals
@@ -702,7 +719,12 @@ let metrics_merge_qcheck =
       && eq "batches" !batches
       && eq "batched_saved" !batched_saved
       && eq "jq_memo_hits" !jq_memo_hits
+      && eq "select_memo_hits" !select_memo_hits
       && eq "steals" !steals
+      && eq "cache_hits" !solver_cache.Jsp.Objective_cache.hits
+      && eq "cache_misses" !solver_cache.Jsp.Objective_cache.misses
+      && eq "cache_entries" !solver_cache.Jsp.Objective_cache.entries
+      && eq "cache_evictions" !solver_cache.Jsp.Objective_cache.evictions
       && eq "jq_evals" (List.length !jq_ns)
       && eq "jq_flat_fallbacks" !jq_flat_fallbacks
       && eq "session_verbs" (List.length !session_ns)
@@ -782,6 +804,21 @@ let check_response name expected actual =
     (Wire.encode_response expected)
     (Wire.encode_response actual)
 
+(* A direct annealing run with a fresh score cache on the binary default
+   prior: what the service must answer for a select, memo hit or not. *)
+let direct_select epool ~budget ~seed =
+  let result =
+    Jsp.Annealing.solve_engine ~num_buckets:Jq.Bucket.default_num_buckets
+      ~rng:(Prob.Rng.create seed) ~task:(Engine.Task.binary ~alpha:0.5) ~budget
+      epool
+  in
+  Wire.Select_result
+    {
+      ids = Engine.Pool.ids result.Jsp.Solver.jury;
+      score = result.Jsp.Solver.score;
+      cost = Engine.Pool.total_cost result.Jsp.Solver.jury;
+    }
+
 (* Concurrent mixed queries over TCP must equal direct library calls:
    responses are deterministic functions of (pool, request) regardless of
    which executor answers or how warm its caches are. *)
@@ -812,19 +849,7 @@ let integration_test () =
         n = 5;
       }
   in
-  let expected_select ~budget ~seed =
-    let result =
-      Jsp.Annealing.solve_engine ~num_buckets:buckets
-        ~rng:(Prob.Rng.create seed) ~task:(Engine.Task.binary ~alpha:0.5)
-        ~budget (Engine.Pool.of_workers pool)
-    in
-    Wire.Select_result
-      {
-        ids = Engine.Pool.ids result.jury;
-        score = result.score;
-        cost = Engine.Pool.total_cost result.jury;
-      }
-  in
+  let expected_select = direct_select (Engine.Pool.of_workers pool) in
   let expected_table ~budgets ~seed =
     Wire.Table_result
       (List.map
@@ -892,7 +917,8 @@ let integration_test () =
           | Some msg -> Alcotest.failf "client %d: %s" i msg
           | None -> ())
         failures;
-      (* Repeated same-pool select load must surface a warm hit-rate. *)
+      (* Repeated selects and tables are answered from the jury memo; the
+         solves that did run surface their score-cache hit-rate. *)
       let stats = Serve.Service.stats service in
       let stat key =
         match List.assoc_opt key stats with
@@ -900,6 +926,9 @@ let integration_test () =
         | None -> Alcotest.failf "stats: missing %s" key
       in
       Alcotest.(check bool) "cache hits observed" true (stat "cache_hits" > 0.);
+      Alcotest.(check bool)
+        "jury memo hits observed" true
+        (stat "select_memo_hits" > 0.);
       Alcotest.(check bool)
         "cache hit-rate positive" true
         (stat "cache_hit_rate" > 0.);
@@ -927,8 +956,8 @@ let integration_test () =
 
 (* The multi-class mirror of [integration_test]: a 3-label confusion-matrix
    pool registered over TCP must answer jq/select/table byte-identically to
-   direct engine calls, whatever the cache warmth (rounds 2-3 replay warm
-   memos).  The expected pool is built from the very floats sent on the
+   direct engine calls, memo hit or miss (rounds 2-3 are answered from
+   the memos).  The expected pool is built from the very floats sent on the
    wire: Confusion.make normalizes rows, and normalization is not bitwise
    idempotent, so both sides must normalize exactly once from the same
    input. *)
@@ -1532,6 +1561,185 @@ let decide_truth_test () =
       | r -> Alcotest.failf "recal: %s" (Wire.encode_response r));
       Unix.close fd)
 
+(* A vote that decides a session feeds its votes to calibration; when
+   that completes a mini-batch the pool version bumps under the session.
+   The session is terminal by then, so it must keep serving its snapshot
+   rather than answer [err unknown-session]. *)
+let deciding_vote_batch_test () =
+  let calib_config = { Workers.Calib.default_config with Workers.Calib.batch = 8 } in
+  with_server ~calib_config ~domains:1 ~queue_capacity:16 (fun service port ->
+      let fd, ic, oc = connect port in
+      let v1 =
+        match
+          roundtrip ic oc
+            (Wire.Pool_put
+               { name = "dv"; workers = scalar_rows [ 0.95; 0.9; 0.85; 0.8; 0.75 ] })
+        with
+        | Wire.Pool_info { version; _ } -> version
+        | r -> Alcotest.failf "pool-put: %s" (Wire.encode_response r)
+      in
+      (* Seven buffered votes: the session's feed completes the batch. *)
+      let votes = List.init 7 (fun i -> calib_vote ~truth:1 (900 + i) (i mod 5) 1) in
+      (match roundtrip ic oc (Wire.Report { pool = "dv"; votes }) with
+      | Wire.Report_result { applied = 0; pending = 7; _ } -> ()
+      | r -> Alcotest.failf "sub-batch report: %s" (Wire.encode_response r));
+      let reply = ref (roundtrip ic oc (session_open_request ~pool:"dv" ~task:"t")) in
+      let steps = ref 0 in
+      while
+        match !reply with
+        | Wire.Session_result { state = Wire.Sess_open; _ } -> true
+        | _ -> false
+      do
+        incr steps;
+        if !steps > 5 then Alcotest.fail "session never decided";
+        match !reply with
+        | Wire.Session_result { next = Some worker; _ } ->
+            reply :=
+              roundtrip ic oc
+                (Wire.Session_vote { pool = "dv"; task = "t"; worker; label = 1 })
+        | r -> Alcotest.failf "open session without advice: %s" (Wire.encode_response r)
+      done;
+      let decided = !reply in
+      (match decided with
+      | Wire.Session_result { state = Wire.Sess_decided; decision = Some 1; _ } -> ()
+      | r -> Alcotest.failf "deciding vote: %s" (Wire.encode_response r));
+      (match roundtrip ic oc (Wire.Quality { pool = "dv" }) with
+      | Wire.Quality_result { version; _ } ->
+          Alcotest.(check bool) "the feed bumped the version" true (version > v1)
+      | r -> Alcotest.failf "quality: %s" (Wire.encode_response r));
+      check_response "decide answers the terminal snapshot" decided
+        (roundtrip ic oc
+           (Wire.Session_decide { pool = "dv"; task = "t"; truth = Some 1 }));
+      check_response "advise answers the terminal snapshot" decided
+        (roundtrip ic oc (Wire.Session_advise { pool = "dv"; task = "t"; k = 3 }));
+      (match roundtrip ic oc (Wire.Session_close { pool = "dv"; task = "t" }) with
+      | Wire.Session_result { state = Wire.Sess_closed; decision = Some 1; _ } -> ()
+      | r -> Alcotest.failf "close: %s" (Wire.encode_response r));
+      Unix.close fd;
+      Alcotest.(check (float 0.)) "nothing invalidated" 0.
+        (List.assoc "sessions_invalidated" (Serve.Service.stats service)))
+
+(* ---- jury memo -------------------------------------------------------- *)
+
+let with_service ?calib_config f =
+  let service = Serve.Service.create ?calib_config ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
+      f service)
+
+let put_pool service name pool =
+  match
+    Serve.Service.submit service (Wire.Pool_put { name; workers = wire_workers pool })
+  with
+  | Wire.Pool_info _ -> ()
+  | r -> Alcotest.failf "pool-put: %s" (Wire.encode_response r)
+
+let stat_of service key =
+  match List.assoc_opt key (Serve.Service.stats service) with
+  | Some v -> v
+  | None -> Alcotest.failf "stats: missing %s" key
+
+(* Run [f] and return its result with how far [select_memo_hits] and
+   [cache_misses] rose meanwhile. *)
+let counting service f =
+  let hits0 = stat_of service "select_memo_hits"
+  and misses0 = stat_of service "cache_misses" in
+  let v = f () in
+  ( v,
+    stat_of service "select_memo_hits" -. hits0,
+    stat_of service "cache_misses" -. misses0 )
+
+let select_request ~seed =
+  Wire.Select { pool = "memo"; budget = 12.; prior = Wire.default_prior; seed }
+
+(* A replayed select, and the table row with the same key, are answered
+   from the memo: no solve runs, and the bytes equal the first reply. *)
+let memo_replay_test () =
+  let pool = test_pool 12 in
+  with_service (fun service ->
+      put_pool service "memo" pool;
+      let submit = Serve.Service.submit service in
+      let first, hits, misses = counting service (fun () -> submit (select_request ~seed:9)) in
+      check_response "cold select = direct solve"
+        (direct_select (Engine.Pool.of_workers pool) ~budget:12. ~seed:9)
+        first;
+      Alcotest.(check (float 0.)) "cold select is a miss" 0. hits;
+      Alcotest.(check bool) "cold select runs a solve" true (misses > 0.);
+      let again, hits, misses = counting service (fun () -> submit (select_request ~seed:9)) in
+      check_response "replay bytes" first again;
+      Alcotest.(check (float 0.)) "replay is a hit" 1. hits;
+      Alcotest.(check (float 0.)) "replay runs no solve" 0. misses;
+      let table, hits, misses =
+        counting service (fun () ->
+            submit
+              (Wire.Table
+                 { pool = "memo"; budgets = [ 12. ]; prior = Wire.default_prior; seed = 9 }))
+      in
+      (match (table, first) with
+      | Wire.Table_result [ row ], Wire.Select_result { ids; score; cost } ->
+          check_response "table row = select"
+            (Wire.Table_result [ { Wire.budget = 12.; ids; quality = score; required = cost } ])
+            (Wire.Table_result [ row ])
+      | r, _ -> Alcotest.failf "table: %s" (Wire.encode_response r));
+      Alcotest.(check (float 0.)) "table row is a hit" 1. hits;
+      Alcotest.(check (float 0.)) "table row runs no solve" 0. misses)
+
+(* A version bump — pool-put or an applied report batch — keys a new
+   row: the same select misses and is answered for the new version. *)
+let memo_version_test () =
+  let calib_config = { Workers.Calib.default_config with Workers.Calib.batch = 8 } in
+  with_service ~calib_config (fun service ->
+      let submit = Serve.Service.submit service in
+      let served () =
+        match Serve.Registry.find (Serve.Service.registry service) "memo" with
+        | Some (epool, _) -> epool
+        | None -> Alcotest.fail "pool vanished"
+      in
+      let miss_answers_current name =
+        let reply, hits, misses = counting service (fun () -> submit (select_request ~seed:4)) in
+        check_response name (direct_select (served ()) ~budget:12. ~seed:4) reply;
+        Alcotest.(check (float 0.)) (name ^ ": miss") 0. hits;
+        Alcotest.(check bool) (name ^ ": solve ran") true (misses > 0.)
+      in
+      put_pool service "memo" (test_pool 12);
+      miss_answers_current "first put";
+      ignore (submit (select_request ~seed:4));
+      put_pool service "memo" (test_pool 11);
+      miss_answers_current "after pool-put";
+      let votes = List.init 8 (fun i -> calib_vote ~truth:1 i (i mod 11) 1) in
+      (match submit (Wire.Report { pool = "memo"; votes }) with
+      | Wire.Report_result { applied = 8; stale = false; _ } -> ()
+      | r -> Alcotest.failf "report: %s" (Wire.encode_response r));
+      miss_answers_current "after an applied report")
+
+(* More distinct keys than the memo holds empty it; the first key is then
+   solved again and still answers the same bytes. *)
+let memo_overflow_test () =
+  let pool = test_pool 6 in
+  with_service (fun service ->
+      put_pool service "memo" pool;
+      let submit = Serve.Service.submit service in
+      let first = submit (select_request ~seed:0) in
+      for seed = 1 to Serve.Service.row_memo_cap do
+        ignore (submit (select_request ~seed))
+      done;
+      let again, hits, misses = counting service (fun () -> submit (select_request ~seed:0)) in
+      check_response "evicted key replies the same bytes" first again;
+      check_response "evicted key = direct solve"
+        (direct_select (Engine.Pool.of_workers pool) ~budget:12. ~seed:0)
+        again;
+      Alcotest.(check (float 0.)) "evicted key is a miss" 0. hits;
+      Alcotest.(check bool) "evicted key is solved again" true (misses > 0.))
+
+let memo_tests =
+  [
+    Alcotest.test_case "replayed select and table row are hits" `Quick
+      memo_replay_test;
+    Alcotest.test_case "version bumps miss and re-solve" `Quick
+      memo_version_test;
+    Alcotest.test_case "overflow keeps replies byte-identical" `Quick
+      memo_overflow_test;
+  ]
+
 let quality_plane_tests =
   [
     Alcotest.test_case "report bumps versions and invalidates" `Quick
@@ -1540,6 +1748,8 @@ let quality_plane_tests =
       drift_reselection_test;
     Alcotest.test_case "decide with ground truth feeds gold" `Quick
       decide_truth_test;
+    Alcotest.test_case "deciding vote that bumps the version keeps its snapshot"
+      `Quick deciding_vote_batch_test;
   ]
 
 let session_service_tests =
@@ -2201,6 +2411,109 @@ let fleet_tcp_test () =
 let fleet_plane_tests =
   [ Alcotest.test_case "fleet verbs over tcp" `Quick fleet_tcp_test ]
 
+(* ---- stats schema ----------------------------------------------------- *)
+
+(* The first column of the key table under docs/serving.md's
+   "### Stats keys" heading.  A key ending in a [<placeholder>] (as in
+   [req_<verb>]) stands for every key with that prefix. *)
+let documented_stats_keys () =
+  let ic = open_in "../docs/serving.md" in
+  let rec lines acc =
+    match input_line ic with
+    | line -> lines (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  let rec skip_to_table = function
+    | [] -> Alcotest.fail "docs/serving.md has no \"### Stats keys\" section"
+    | "### Stats keys" :: rest -> rest
+    | _ :: rest -> skip_to_table rest
+  in
+  let rec keys acc = function
+    | line :: _ when String.length line > 0 && line.[0] = '#' -> List.rev acc
+    | line :: rest -> (
+        match String.split_on_char '|' line with
+        | "" :: cell :: _ -> (
+            match String.split_on_char '`' (String.trim cell) with
+            | [ ""; key; "" ] -> keys (key :: acc) rest
+            | _ -> keys acc rest)
+        | _ -> keys acc rest)
+    | [] -> List.rev acc
+  in
+  keys [] (skip_to_table (lines []))
+
+let key_matches ~documented key =
+  match String.index_opt documented '<' with
+  | None -> String.equal documented key
+  | Some i -> String.starts_with ~prefix:(String.sub documented 0 i) key
+
+(* Drive every verb family through a server, then hold [stats] against the
+   doc table in both directions: no emitted key is undocumented, and no
+   documented key is missing once each family has run. *)
+let stats_schema_test () =
+  let pool = test_pool 8 in
+  let calib_config = { Workers.Calib.default_config with Workers.Calib.batch = 4 } in
+  with_server ~calib_config ~domains:2 ~queue_capacity:64 (fun _service port ->
+      let fd, ic, oc = connect port in
+      let ok name request =
+        match roundtrip ic oc request with
+        | Wire.Error _ as r -> Alcotest.failf "%s: %s" name (Wire.encode_response r)
+        | _ -> ()
+      in
+      let budget = Workers.Pool.total_cost pool /. 3. in
+      ok "ping" Wire.Ping;
+      ok "pool-put" (Wire.Pool_put { name = "sk"; workers = wire_workers pool });
+      ok "pool-list" Wire.Pool_list;
+      ok "jq pool"
+        (Wire.Jq
+           { source = Wire.Named "sk"; prior = Wire.default_prior; num_buckets = 50 });
+      ok "jq inline"
+        (Wire.Jq
+           { source = Wire.Inline [ 0.7; 0.8 ]; prior = Wire.default_prior; num_buckets = 50 });
+      let select = Wire.Select { pool = "sk"; budget; prior = Wire.default_prior; seed = 1 } in
+      ok "select" select;
+      ok "select again" select;
+      ok "table"
+        (Wire.Table { pool = "sk"; budgets = [ budget ]; prior = Wire.default_prior; seed = 1 });
+      ok "open" (session_open_request ~pool:"sk" ~task:"t");
+      ok "advise" (Wire.Session_advise { pool = "sk"; task = "t"; k = 2 });
+      ok "vote" (Wire.Session_vote { pool = "sk"; task = "t"; worker = 0; label = 1 });
+      ok "decide" (Wire.Session_decide { pool = "sk"; task = "t"; truth = Some 1 });
+      ok "close" (Wire.Session_close { pool = "sk"; task = "t" });
+      ok "report"
+        (Wire.Report
+           { pool = "sk"; votes = List.init 4 (fun i -> calib_vote ~truth:1 i i 1) });
+      ok "recal" (Wire.Recal { pool = "sk" });
+      ok "quality" (Wire.Quality { pool = "sk" });
+      ok "fleet-submit"
+        (Wire.Fleet_submit
+           { pool = "sk"; task = "f"; prior = Wire.default_prior; budget; tier = 0; target = 0. });
+      ok "fleet-status" (Wire.Fleet_status { pool = "sk"; task = None });
+      ok "fleet-release" (Wire.Fleet_release { pool = "sk"; task = "f"; decided = true });
+      let emitted =
+        match roundtrip ic oc Wire.Stats with
+        | Wire.Stats_result kv -> List.map fst kv
+        | r -> Alcotest.failf "stats: %s" (Wire.encode_response r)
+      in
+      Unix.close fd;
+      let documented = documented_stats_keys () in
+      let undocumented =
+        List.filter
+          (fun key -> not (List.exists (fun d -> key_matches ~documented:d key) documented))
+          emitted
+      and missing =
+        List.filter
+          (fun d -> not (List.exists (fun key -> key_matches ~documented:d key) emitted))
+          documented
+      in
+      Alcotest.(check (list string)) "emitted keys missing from docs/serving.md" []
+        undocumented;
+      Alcotest.(check (list string)) "documented keys never emitted" [] missing)
+
+let stats_schema_tests =
+  [ Alcotest.test_case "every stats key is documented" `Quick stats_schema_test ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -2213,7 +2526,9 @@ let () =
       ("service", service_tests);
       ("sessions", session_service_tests);
       ("quality plane", quality_plane_tests);
+      ("jury memo", memo_tests);
       ("fleet plane", fleet_plane_tests);
+      ("stats schema", stats_schema_tests);
       ("pool_io", pool_io_tests);
       ("lineframe", lineframe_tests);
       ("accept classification", accept_action_tests);
