@@ -150,93 +150,6 @@ type summary = {
   mean_votes : float;
 }
 
-type calibrated_summary = {
-  tasks : int;
-  votes : int;
-  steps : int;
-  drift_flags : int;
-  estimates : float array;
-  mean_abs_error : float;
-  base_abs_error : float;
-}
-
-(* Pick [k] distinct worker indices by a partial Fisher–Yates pass. *)
-let sample_workers rng ~n ~k =
-  let idx = Array.init n Fun.id in
-  for i = 0 to k - 1 do
-    let j = i + Prob.Rng.int rng (n - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.to_list (Array.sub idx 0 k)
-
-let simulate_calibrated rng ?config ?(votes_per_task = 5) ?(gold_rate = 0.2)
-    ~alpha ~tasks ~base pool =
-  if tasks <= 0 then invalid_arg "Online.simulate_calibrated: tasks <= 0";
-  if alpha < 0. || alpha > 1. then invalid_arg "Online.simulate_calibrated: alpha";
-  if gold_rate < 0. || gold_rate > 1. then
-    invalid_arg "Online.simulate_calibrated: gold_rate outside [0, 1]";
-  let n = Workers.Pool.size pool in
-  if Array.length base <> n then
-    invalid_arg "Online.simulate_calibrated: base/pool size mismatch";
-  let k = min votes_per_task n in
-  if k <= 0 then invalid_arg "Online.simulate_calibrated: votes_per_task <= 0";
-  let calib =
-    Workers.Calib.create ?config ~base:(Workers.Calib.Scalar base) ()
-  in
-  let steps = ref 0 in
-  let votes_total = ref 0 in
-  for task = 0 to tasks - 1 do
-    let truth = Simulate.sample_truth rng ~alpha in
-    let gold = Prob.Rng.float rng 1. < gold_rate in
-    let votes =
-      List.map
-        (fun worker ->
-          let quality = Workers.Worker.quality (Workers.Pool.get pool worker) in
-          let vote = Simulate.vote rng ~truth ~quality in
-          {
-            Workers.Calib.task;
-            worker;
-            label = Vote.to_int vote;
-            truth = (if gold then Some (Vote.to_int truth) else None);
-          })
-        (sample_workers rng ~n ~k)
-    in
-    (match Workers.Calib.feed calib votes with
-    | Ok _ -> ()
-    | Error msg -> invalid_arg ("Online.simulate_calibrated: " ^ msg));
-    votes_total := !votes_total + List.length votes;
-    (* The ingest rule of the serve plane: step exactly when a batch is
-       due, so the simulation exercises the same mini-batch cadence the
-       wire path does. *)
-    if Workers.Calib.due calib then begin
-      ignore (Workers.Calib.step calib);
-      incr steps
-    end
-  done;
-  if Workers.Calib.pending calib > 0 then begin
-    ignore (Workers.Calib.step calib);
-    incr steps
-  end;
-  let mean_err of_i =
-    let acc = Prob.Kahan.create () in
-    for i = 0 to n - 1 do
-      let latent = Workers.Worker.quality (Workers.Pool.get pool i) in
-      Prob.Kahan.add acc (Float.abs (of_i i -. latent))
-    done;
-    Prob.Kahan.total acc /. float_of_int n
-  in
-  {
-    tasks;
-    votes = !votes_total;
-    steps = !steps;
-    drift_flags = Workers.Calib.drift_count calib;
-    estimates = Workers.Calib.qualities calib;
-    mean_abs_error = mean_err (Workers.Calib.quality calib);
-    base_abs_error = mean_err (fun i -> base.(i));
-  }
-
 let simulate_many rng ?policy ~confidence ~budget ~alpha ~tasks pool =
   if tasks <= 0 then invalid_arg "Online.simulate_many: tasks <= 0";
   let correct = ref 0 in

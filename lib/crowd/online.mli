@@ -54,40 +54,6 @@ type summary = {
   mean_votes : float;
 }
 
-type calibrated_summary = {
-  tasks : int;
-  votes : int;            (** Total votes streamed into the calibrator. *)
-  steps : int;            (** Mini-batch calibration steps that ran. *)
-  drift_flags : int;      (** Drift events the calibrator raised. *)
-  estimates : float array;  (** Final per-worker quality estimates. *)
-  mean_abs_error : float;
-      (** Mean |estimate − latent quality| after the stream. *)
-  base_abs_error : float;
-      (** Same error for the registered [base] — what serving the static
-          registration would keep using. *)
-}
-
-val simulate_calibrated :
-  Prob.Rng.t ->
-  ?config:Workers.Calib.config ->
-  ?votes_per_task:int ->
-  ?gold_rate:float ->
-  alpha:float ->
-  tasks:int ->
-  base:float array ->
-  Workers.Pool.t ->
-  calibrated_summary
-(** Stream simulated crowdsourcing traffic through a {!Workers.Calib}
-    exactly the way the serve plane's [report] verb does: each task draws
-    its truth from the [alpha] prior, [votes_per_task] (default 5) random
-    distinct workers answer it from their latent qualities, whole tasks
-    are gold with probability [gold_rate] (default 0.2), and a mini-batch
-    step runs whenever the calibrator reports one {!Workers.Calib.due}.
-    [base] is what the pool was registered with — possibly wrong, which is
-    the point: the summary compares the calibrated estimates' error
-    against the registration's.
-    @raise Invalid_argument on a size mismatch or out-of-range knobs. *)
-
 val simulate_many :
   Prob.Rng.t ->
   ?policy:policy ->

@@ -114,6 +114,12 @@ let with_lock lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+let count t exec counter n = Metrics.add t.metrics ~shard:exec.shard counter n
+
+(* Sample [timer] with the nanoseconds elapsed since [t0]. *)
+let time_since t exec timer t0 =
+  Metrics.sample t.metrics ~shard:exec.shard timer (1e9 *. (Clock.now () -. t0))
+
 (* ---- executor-side evaluation -------------------------------------- *)
 
 let incremental_for exec ~alpha ~num_buckets =
@@ -170,7 +176,7 @@ let eval_jq_pool t exec ~name ~prior ~num_buckets =
         let value, bound, n =
           match Memo.find exec.jq_memo key with
           | Some hit ->
-              Metrics.jq_memo_hit t.metrics ~shard:exec.shard;
+              count t exec Metrics.Jq_memo_hits 1;
               hit
           | None ->
               let t0 = Clock.now () in
@@ -191,14 +197,13 @@ let eval_jq_pool t exec ~name ~prior ~num_buckets =
                         ~workspace:exec.workspace ()
                         ~task:(task_of_prior prior) pool
                     in
-                    Metrics.jq_flat_fallback t.metrics ~shard:exec.shard
-                      ~count:scored.Engine.Objective.flat_fallbacks;
+                    count t exec Metrics.Jq_flat_fallbacks
+                      scored.Engine.Objective.flat_fallbacks;
                     ( scored.Engine.Objective.score,
                       scored.Engine.Objective.bound,
                       Engine.Pool.size pool )
               in
-              Metrics.jq_eval t.metrics ~shard:exec.shard
-                ~ns:(1e9 *. (Clock.now () -. t0));
+              time_since t exec Metrics.Jq_eval t0;
               Memo.add exec.jq_memo key entry;
               entry
         in
@@ -212,8 +217,7 @@ let eval_jq_inline t exec ~qualities ~prior ~num_buckets =
         Jq.Bucket.estimate_stats ~workspace:exec.workspace ~num_buckets ~alpha
           (Array.of_list qualities)
       in
-      Metrics.jq_eval t.metrics ~shard:exec.shard
-        ~ns:(1e9 *. (Clock.now () -. t0));
+      time_since t exec Metrics.Jq_eval t0;
       Wire.Jq_result
         {
           value = stats.Jq.Bucket.value;
@@ -234,7 +238,7 @@ let solve_select t exec ~pool ~version ~pool_name ~budget ~prior ~seed =
   let key = (pool_name, version, prior, budget, seed) in
   match Memo.find exec.rows key with
   | Some row ->
-      Metrics.select_memo_hit t.metrics ~shard:exec.shard;
+      count t exec Metrics.Select_memo_hits 1;
       row
   | None ->
       let result =
@@ -242,7 +246,11 @@ let solve_select t exec ~pool ~version ~pool_name ~budget ~prior ~seed =
           ~rng:(Prob.Rng.create seed) ~task:(task_of_prior prior) ~budget pool
       in
       Option.iter
-        (Metrics.solver_cache t.metrics ~shard:exec.shard)
+        (fun (c : Jsp.Objective_cache.stats) ->
+          count t exec Metrics.Cache_hits c.hits;
+          count t exec Metrics.Cache_misses c.misses;
+          count t exec Metrics.Cache_entries c.entries;
+          count t exec Metrics.Cache_evictions c.evictions)
         result.Jsp.Solver.cache;
       let jury = result.Jsp.Solver.jury in
       let row =
@@ -324,54 +332,44 @@ let reselect_standing t exec ~name =
               specs
           in
           Registry.refresh_standing t.registry ~name ~juries;
-          Metrics.recal_run t.metrics ~shard:exec.shard
-            ~count:(List.length juries);
+          count t exec Metrics.Recal_runs (List.length juries);
           List.length juries)
 
-let eval_report t exec ~name votes =
+(* Run one calibration call against the registry: time it as an ingest,
+   count the votes it applied, and re-solve the standing juries it left
+   stale.  Returns the [report] reply. *)
+let calibrate t exec ~name call =
   let t0 = Clock.now () in
-  match Registry.report t.registry ~name votes with
+  Result.map
+    (fun (r : Registry.ingest) ->
+      time_since t exec Metrics.Ingest t0;
+      count t exec Metrics.Votes_ingested r.applied;
+      let recals = if r.stale then reselect_standing t exec ~name else 0 in
+      Wire.Report_result
+        {
+          name;
+          version = r.version;
+          applied = r.applied;
+          pending = r.pending;
+          drifted =
+            List.map (fun (d : Workers.Calib.drift) -> d.worker) r.drifted;
+          stale = r.stale;
+          recals;
+        })
+    (call ())
+
+let eval_report t exec ~name votes =
+  match
+    calibrate t exec ~name (fun () -> Registry.report t.registry ~name votes)
+  with
+  | Ok reply -> reply
   | Error `Unknown_pool -> unknown_pool name
   | Error (`Invalid msg) -> bad_request msg
-  | Ok r ->
-      Metrics.ingest t.metrics ~shard:exec.shard ~votes:r.Registry.applied
-        ~ns:(1e9 *. (Clock.now () -. t0));
-      let recals =
-        if r.Registry.stale then reselect_standing t exec ~name else 0
-      in
-      Wire.Report_result
-        {
-          name;
-          version = r.Registry.version;
-          applied = r.Registry.applied;
-          pending = r.Registry.pending;
-          drifted =
-            List.map (fun (d : Workers.Calib.drift) -> d.worker) r.drifted;
-          stale = r.Registry.stale;
-          recals;
-        }
 
 let eval_recal t exec ~name =
-  let t0 = Clock.now () in
-  match Registry.recal t.registry ~name with
+  match calibrate t exec ~name (fun () -> Registry.recal t.registry ~name) with
+  | Ok reply -> reply
   | Error `Unknown_pool -> unknown_pool name
-  | Ok r ->
-      Metrics.ingest t.metrics ~shard:exec.shard ~votes:r.Registry.applied
-        ~ns:(1e9 *. (Clock.now () -. t0));
-      let recals =
-        if r.Registry.stale then reselect_standing t exec ~name else 0
-      in
-      Wire.Report_result
-        {
-          name;
-          version = r.Registry.version;
-          applied = r.Registry.applied;
-          pending = r.Registry.pending;
-          drifted =
-            List.map (fun (d : Workers.Calib.drift) -> d.worker) r.drifted;
-          stale = r.Registry.stale;
-          recals;
-        }
 
 let eval_quality t ~name =
   match Registry.quality t.registry ~name with
@@ -391,14 +389,9 @@ let ingest_session_votes t exec ~pool_name ~task_name ~truth votes =
         { Workers.Calib.task = task_id; worker; label; truth })
       votes
   in
-  let t0 = Clock.now () in
-  match Registry.report t.registry ~name:pool_name calib_votes with
-  | Error _ -> ()
-  | Ok r ->
-      Metrics.ingest t.metrics ~shard:exec.shard ~votes:r.Registry.applied
-        ~ns:(1e9 *. (Clock.now () -. t0));
-      if r.Registry.stale then
-        ignore (reselect_standing t exec ~name:pool_name)
+  ignore
+    (calibrate t exec ~name:pool_name (fun () ->
+         Registry.report t.registry ~name:pool_name calib_votes))
 
 (* ---- session verbs -------------------------------------------------- *)
 
@@ -588,8 +581,7 @@ let eval_session t exec request =
         eval_session_close t ~pool_name:pool ~task_name:task
     | _ -> assert false
   in
-  Metrics.session_verb t.metrics ~shard:exec.shard
-    ~ns:(1e9 *. (Clock.now () -. t0));
+  time_since t exec Metrics.Session_verb t0;
   response
 
 (* ---- fleet verbs ---------------------------------------------------- *)
@@ -650,8 +642,7 @@ let eval_fleet_submit t exec ~pool_name ~task_name ~prior ~budget ~tier ~target
             match Fleet.Allocator.submit alloc spec with
             | exception Invalid_argument msg -> bad_request msg
             | assignment ->
-                Metrics.fleet_assign t.metrics ~shard:exec.shard
-                  ~ns:(1e9 *. (Clock.now () -. t0));
+                time_since t exec Metrics.Fleet_assign t0;
                 fleet_task_reply ~pool_name assignment))
 
 let eval_fleet_status t ~pool_name ~task_name =
@@ -685,7 +676,7 @@ let eval_fleet_release t exec ~pool_name ~task_name ~decided =
       match Fleet.Allocator.release alloc ~id:task_name ~decided with
       | None -> unknown_task ~pool_name ~task_name
       | Some (assignment : Fleet.Allocator.assignment) ->
-          Metrics.fleet_release t.metrics ~shard:exec.shard;
+          count t exec Metrics.Fleet_releases 1;
           Wire.Fleet_released
             {
               pool = pool_name;
@@ -745,6 +736,27 @@ let fleet_gauges t =
     ("fleet_proposal_hits", f !hits);
     ("fleet_conflicts", f !conflicts);
     ("fleet_resyncs", f !resyncs);
+  ]
+
+(* Summed session-store counters across every shard store — the
+   [sessions_*] rows of [stats].  Runs on the snapshotting thread, taking
+   each store's lock in turn. *)
+let session_gauges t =
+  let s =
+    Array.fold_left
+      (fun acc (lock, store) ->
+        Session.Store.add_stats acc
+          (with_lock lock (fun () -> Session.Store.stats store)))
+      Session.Store.zero_stats t.session_stores
+  in
+  let f = float_of_int in
+  [
+    ("sessions_open", f s.Session.Store.open_now);
+    ("sessions_opened", f s.opened);
+    ("sessions_decided", f s.decided);
+    ("sessions_expired", f s.expired);
+    ("sessions_invalidated", f s.invalidated);
+    ("sessions_rejected", f s.rejected);
   ]
 
 let eval t exec request =
@@ -823,7 +835,7 @@ let process_batch t exec jobs =
   in
   List.iter
     (fun job ->
-      Metrics.deadline t.metrics ~shard:exec.shard;
+      count t exec Metrics.Deadlines 1;
       reply t exec job
         (Wire.Error { code = Wire.Deadline; message = "expired in queue" }))
     expired;
@@ -834,7 +846,8 @@ let process_batch t exec jobs =
       reply t exec first response;
       (* Followers are compatible by construction: same evaluation. *)
       if rest <> [] then begin
-        Metrics.batch t.metrics ~shard:exec.shard ~size:(List.length live);
+        count t exec Metrics.Batches 1;
+        count t exec Metrics.Batched_saved (List.length rest);
         List.iter (fun job -> reply t exec job response) rest
       end
 
@@ -855,7 +868,7 @@ let executor_loop t exec =
     with
     | None -> ()
     | Some (jobs, origin) ->
-        if origin = `Stolen then Metrics.steal t.metrics ~shard:exec.shard;
+        if origin = `Stolen then count t exec Metrics.Steals 1;
         process_batch t exec jobs;
         loop ()
   in
@@ -897,11 +910,7 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
       workers = [];
     }
   in
-  Array.iter
-    (fun (lock, store) ->
-      Metrics.add_sessions t.metrics ~stats:(fun () ->
-          with_lock lock (fun () -> Session.Store.stats store)))
-    t.session_stores;
+  Metrics.add_gauges t.metrics ~gauges:(fun () -> session_gauges t);
   Metrics.add_gauges t.metrics ~gauges:(fun () -> fleet_gauges t);
   t.workers <-
     List.init n_domains (fun shard ->

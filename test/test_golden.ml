@@ -1,17 +1,28 @@
-(* Golden replies for the solver verbs.
+(* Golden replies, one recorded conversation per file.
 
-   golden/solver_verbs.txt is a recorded conversation with a fresh
-   service: each "> " line is a request, the "< " line after it the exact
-   reply the service gave.  It covers select and table on a 40-worker
-   scalar pool, a 12-worker 3-label matrix pool and a 10-worker symmetric
-   2x2 matrix pool (lowered to scalars), over several budgets, seeds and
+   Each "> " line of a transcript is a request, the "< " line after it
+   the exact reply a fresh one-domain service gave.  Replaying a
+   transcript against a fresh service must reproduce every reply byte
+   for byte.
+
+   golden/solver_verbs.txt covers select and table on a 40-worker scalar
+   pool, a 12-worker 3-label matrix pool and a 10-worker symmetric 2x2
+   matrix pool (lowered to scalars), over several budgets, seeds and
    priors, each request sent twice so the second pass is answered from
-   the executor's memos; jq pool= on every pool; and a fleet-submit / fleet-status /
-   fleet-release sequence on two pools.  Replaying it against a fresh
-   service must reproduce every reply byte for byte, so any change to a
-   solver, scorer or cache that moves a reply fails here. *)
+   the executor's memos; jq pool= on every pool; and a fleet-submit /
+   fleet-status / fleet-release sequence on two pools.  Any change to a
+   solver, scorer or cache that moves a reply fails it.
 
-let transcript = "golden/solver_verbs.txt"
+   golden/state_verbs.txt covers the state-changing verbs on an 8-worker
+   scalar pool and a 3-worker 3-label matrix pool: sessions opened under
+   every policy (one decided at open by its gain floor), vote, advise
+   k=2, decide with and without truth=, close and the unknown-session
+   errors after it; report batches that buffer, that are rejected, and
+   one that applies, flags a drifted worker and re-solves the standing
+   juries; a soliciting session invalidated by that version bump;
+   quality, recal with buffered votes, and select before and after the
+   bump.  Any change to sessions, calibration or the re-selection path
+   that moves a reply fails it. *)
 
 let read_lines path =
   let ic = open_in path in
@@ -36,7 +47,7 @@ let rec exchanges = function
       (strip "> " request, strip "< " reply) :: exchanges rest
   | [ line ] -> Alcotest.failf "request without a reply: %s" line
 
-let test_replay () =
+let test_replay transcript () =
   let pairs = exchanges (read_lines transcript) in
   let svc = Serve.Service.create ~domains:1 () in
   Fun.protect
@@ -59,5 +70,10 @@ let () =
   Alcotest.run "golden"
     [
       ( "replies",
-        [ Alcotest.test_case "solver verbs byte for byte" `Quick test_replay ] );
+        [
+          Alcotest.test_case "solver verbs byte for byte" `Quick
+            (test_replay "golden/solver_verbs.txt");
+          Alcotest.test_case "state verbs byte for byte" `Quick
+            (test_replay "golden/state_verbs.txt");
+        ] );
     ]

@@ -291,10 +291,11 @@ let test_annealing_incremental_cached_reproducible =
      bit-pure function of the selection: deconvolution drift means even an
      uncached run scores a revisited jury ulps apart from the first visit,
      and a flipped `delta >= 0.` consumes an extra Boltzmann draw — so
-     cached-vs-uncached bit-identity is unattainable here by construction.
+     cached-vs-uncached bit-identity is unattainable here by construction,
+     and the cached run may take a different path that evaluates more.
      What must hold: each cache mode is exactly reproducible under a fixed
-     seed, returns a feasible jury, and the cached run never evaluates
-     more than the uncached one. *)
+     seed and returns a feasible jury, and in the cached run every
+     evaluation is a cache miss except the final from-scratch rescore. *)
   qtest ~count:40 "cached incremental annealing is reproducible + feasible"
     (QCheck2.Gen.triple pool_gen budget_gen (QCheck2.Gen.int_range 0 1000))
     (fun (pool, budget, seed) ->
@@ -309,9 +310,12 @@ let test_annealing_incremental_cached_reproducible =
       && cached.Jsp.Solver.score = again.Jsp.Solver.score
       && Jsp.Budget.feasible ~budget plain.Jsp.Solver.jury
       && Jsp.Budget.feasible ~budget cached.Jsp.Solver.jury
-      && cached.Jsp.Solver.cache <> None
       && plain.Jsp.Solver.cache = None
-      && cached.Jsp.Solver.evaluations <= plain.Jsp.Solver.evaluations)
+      &&
+      match cached.Jsp.Solver.cache with
+      | None -> false
+      | Some stats ->
+          cached.Jsp.Solver.evaluations = stats.Jsp.Objective_cache.misses + 1)
 
 let test_annealing_incremental_feasible =
   qtest ~count:60 "incremental annealed juries are feasible (both objectives)"

@@ -591,174 +591,164 @@ let dispatch_tests =
 
 (* ---- metrics shard merge ---------------------------------------------- *)
 
-(* Oracle: replay the same event stream into one set of plain
-   accumulators; the sharded snapshot must report identical totals
-   whatever shard each event landed on. *)
+(* Every counter with its stats key, and every timer with the key counting
+   its samples (request latencies are counted by [requests]), its
+   quantile keys and the factor from the sampled unit to the reported
+   one. *)
+let metrics_counters =
+  Serve.Metrics.
+    [
+      (Requests, "requests"); (Ok_replies, "ok"); (Errors, "errors");
+      (Overloads, "overloads"); (Deadlines, "deadlines"); (Batches, "batches");
+      (Batched_saved, "batched_saved"); (Jq_memo_hits, "jq_memo_hits");
+      (Select_memo_hits, "select_memo_hits"); (Steals, "steals");
+      (Jq_flat_fallbacks, "jq_flat_fallbacks");
+      (Votes_ingested, "votes_ingested"); (Recal_runs, "recal_runs");
+      (Fleet_releases, "fleet_releases"); (Cache_hits, "cache_hits");
+      (Cache_misses, "cache_misses"); (Cache_entries, "cache_entries");
+      (Cache_evictions, "cache_evictions");
+    ]
+
+let metrics_timers =
+  let ns stem = (stem ^ "_ns_p50", stem ^ "_ns_p95", stem ^ "_ns_p99") in
+  Serve.Metrics.
+    [
+      (Latency, None, ("p50_ms", "p95_ms", "p99_ms"), 1000.);
+      (Jq_eval, Some "jq_evals", ns "jq_eval", 1.);
+      (Session_verb, Some "session_verbs", ns "session_verb", 1.);
+      (Ingest, Some "ingests", ns "ingest", 1.);
+      (Fleet_assign, Some "fleet_assigns", ns "fleet_assign", 1.);
+    ]
+
+(* Each shard's ring keeps its 2048 most recent samples; the generator's
+   bursts of distinct samples run past that, so the oracle's cut matters. *)
+let metrics_ring_size = 2048
+
 let metrics_event_gen =
   QCheck2.Gen.(
     let verb = oneofl [ "jq"; "select"; "table"; "ping" ] in
-    oneof
+    let timer = oneofl (List.map (fun (t, _, _, _) -> t) metrics_timers) in
+    frequency
       [
-        ( verb >>= fun v ->
+        ( 4,
+          verb >>= fun v ->
           float_range 0. 0.5 >>= fun lat ->
           bool >>= fun ok -> return (`Record (v, lat, ok)) );
-        return `Overload;
-        return `Deadline;
-        (int_range 2 6 >>= fun size -> return (`Batch size));
-        return `Jq_memo_hit;
-        return `Select_memo_hit;
-        ( int_range 0 50 >>= fun hits ->
-          int_range 1 50 >>= fun misses ->
-          int_range 0 50 >>= fun entries ->
-          int_range 0 2 >>= fun evictions ->
-          return
-            (`Solver_cache
-              { Jsp.Objective_cache.hits; misses; evals_saved = hits; entries;
-                evictions }) );
-        return `Steal;
-        (float_range 100. 5e6 >>= fun ns -> return (`Jq_eval ns));
-        (int_range 0 3 >>= fun count -> return (`Flat_fallback count));
-        (float_range 100. 5e6 >>= fun ns -> return (`Session_verb ns));
+        (1, return `Overload);
+        ( 6,
+          oneofl (List.map fst metrics_counters) >>= fun c ->
+          int_range (-2) 50 >>= fun n -> return (`Add (c, n)) );
+        ( 6,
+          timer >>= fun t ->
+          float_range 1e-4 5e6 >>= fun x -> return (`Sample (t, x)) );
+        ( 1,
+          timer >>= fun t ->
+          int_range 1 (metrics_ring_size + 500) >>= fun n ->
+          float_range 0. 1. >>= fun x0 -> return (`Burst (t, n, x0)) );
       ])
 
-(* Per-shard session-store counter snapshots, registered as pull sources:
-   the merged snapshot must report their componentwise sums. *)
-let session_stats_gen =
-  QCheck2.Gen.(
-    int_range 0 20 >>= fun open_now ->
-    int_range 0 20 >>= fun opened ->
-    int_range 0 20 >>= fun decided ->
-    int_range 0 20 >>= fun expired ->
-    int_range 0 20 >>= fun invalidated ->
-    int_range 0 20 >>= fun rejected ->
-    return
-      { Session.Store.open_now; opened; decided; expired; invalidated;
-        rejected })
-
+(* Oracle: replay the same event stream into plain accumulators — one
+   total per counter, per-shard sample lists per timer — and compare the
+   sharded snapshot key by key, both ways. *)
 let metrics_merge_qcheck =
   let gen =
     QCheck2.Gen.(
-      triple (int_range 1 4)
-        (list_size (int_range 0 200) metrics_event_gen)
-        (list_size (int_range 0 3) session_stats_gen))
+      pair (int_range 1 4) (list_size (int_range 0 200) metrics_event_gen))
   in
   qtest ~count:60 "metrics: sharded snapshot equals single-lock oracle" gen
-    (fun (shards, events, session_sources) ->
+    (fun (shards, events) ->
       let m = Serve.Metrics.create ~shards () in
-      let requests = ref 0 and ok = ref 0 and errors = ref 0 in
-      let overloads = ref 0 and deadlines = ref 0 in
-      let batches = ref 0 and batched_saved = ref 0 in
-      let jq_memo_hits = ref 0 and select_memo_hits = ref 0 in
-      let steals = ref 0 in
-      let solver_cache = ref Jsp.Objective_cache.empty_stats in
-      let jq_flat_fallbacks = ref 0 in
-      let jq_ns = ref [] in
-      let session_ns = ref [] in
+      let totals = Hashtbl.create 32 in
+      let bump key n =
+        Hashtbl.replace totals key
+          (n + Option.value ~default:0 (Hashtbl.find_opt totals key))
+      in
+      (* Samples by (timer, shard), most recent first. *)
+      let samples = Hashtbl.create 16 in
+      let taken timer shard =
+        Option.value ~default:[] (Hashtbl.find_opt samples (timer, shard))
+      in
+      let sample ~shard timer x =
+        Serve.Metrics.sample m ~shard timer x;
+        Hashtbl.replace samples (timer, shard) (x :: taken timer shard)
+      in
       let per_verb = Hashtbl.create 8 in
-      (* Deterministic-but-spread shard choice for executor-side events. *)
-      let shard_of i = i mod shards in
+      (* Events spread over every shard, the submitter's included. *)
+      let shard_of i = i mod (shards + 1) in
       List.iteri
         (fun i event ->
+          let shard = shard_of i in
           match event with
           | `Record (verb, latency, okay) ->
-              Serve.Metrics.record m ~shard:(shard_of i) ~verb ~latency
-                ~ok:okay;
-              incr requests;
-              if okay then incr ok else incr errors;
+              Serve.Metrics.record m ~shard ~verb ~latency ~ok:okay;
+              Hashtbl.replace samples (Serve.Metrics.Latency, shard)
+                (latency :: taken Serve.Metrics.Latency shard);
+              bump "requests" 1;
+              bump (if okay then "ok" else "errors") 1;
               Hashtbl.replace per_verb verb
                 (1 + Option.value ~default:0 (Hashtbl.find_opt per_verb verb))
           | `Overload ->
               Serve.Metrics.overload m;
-              incr overloads;
-              incr requests;
-              incr errors
-          | `Deadline ->
-              Serve.Metrics.deadline m ~shard:(shard_of i);
-              incr deadlines
-          | `Batch size ->
-              Serve.Metrics.batch m ~shard:(shard_of i) ~size;
-              incr batches;
-              batched_saved := !batched_saved + size - 1
-          | `Jq_memo_hit ->
-              Serve.Metrics.jq_memo_hit m ~shard:(shard_of i);
-              incr jq_memo_hits
-          | `Select_memo_hit ->
-              Serve.Metrics.select_memo_hit m ~shard:(shard_of i);
-              incr select_memo_hits
-          | `Solver_cache stats ->
-              Serve.Metrics.solver_cache m ~shard:(shard_of i) stats;
-              solver_cache := Jsp.Objective_cache.merge_stats !solver_cache stats
-          | `Steal ->
-              Serve.Metrics.steal m ~shard:(shard_of i);
-              incr steals
-          | `Jq_eval ns ->
-              Serve.Metrics.jq_eval m ~shard:(shard_of i) ~ns;
-              jq_ns := ns :: !jq_ns
-          | `Flat_fallback count ->
-              (* count = 0 must be a no-op, matching the recorder's
-                 contract for calls on the all-flat fast path. *)
-              Serve.Metrics.jq_flat_fallback m ~shard:(shard_of i) ~count;
-              jq_flat_fallbacks := !jq_flat_fallbacks + max 0 count
-          | `Session_verb ns ->
-              Serve.Metrics.session_verb m ~shard:(shard_of i) ~ns;
-              session_ns := ns :: !session_ns)
+              bump "overloads" 1;
+              bump "requests" 1;
+              bump "errors" 1
+          | `Add (counter, n) ->
+              (* n <= 0 must be a no-op. *)
+              Serve.Metrics.add m ~shard counter n;
+              bump (List.assoc counter metrics_counters) (max 0 n)
+          | `Sample (timer, x) -> sample ~shard timer x
+          | `Burst (timer, n, x0) ->
+              for k = 1 to n do
+                sample ~shard timer (x0 +. float_of_int k)
+              done)
         events;
-      List.iter
-        (fun stats -> Serve.Metrics.add_sessions m ~stats:(fun () -> stats))
-        session_sources;
-      let session_total =
-        List.fold_left Session.Store.add_stats Session.Store.zero_stats
-          session_sources
-      in
       let snap = Serve.Metrics.snapshot m in
       let get key = Option.value ~default:0. (List.assoc_opt key snap) in
-      let eq key want = get key = float_of_int want in
-      eq "requests" !requests && eq "ok" !ok && eq "errors" !errors
-      && eq "overloads" !overloads
-      && eq "deadlines" !deadlines
-      && eq "batches" !batches
-      && eq "batched_saved" !batched_saved
-      && eq "jq_memo_hits" !jq_memo_hits
-      && eq "select_memo_hits" !select_memo_hits
-      && eq "steals" !steals
-      && eq "cache_hits" !solver_cache.Jsp.Objective_cache.hits
-      && eq "cache_misses" !solver_cache.Jsp.Objective_cache.misses
-      && eq "cache_entries" !solver_cache.Jsp.Objective_cache.entries
-      && eq "cache_evictions" !solver_cache.Jsp.Objective_cache.evictions
-      && eq "jq_evals" (List.length !jq_ns)
-      && eq "jq_flat_fallbacks" !jq_flat_fallbacks
-      && eq "session_verbs" (List.length !session_ns)
-      && (let samples = Array.of_list !jq_ns in
-          if Array.length samples = 0 then
-            List.assoc_opt "jq_eval_ns_p50" snap = None
-          else
-            List.for_all
-              (fun (key, p) -> get key = Prob.Stats.quantile samples p)
-              [
-                ("jq_eval_ns_p50", 0.5);
-                ("jq_eval_ns_p95", 0.95);
-                ("jq_eval_ns_p99", 0.99);
-              ])
-      && (let samples = Array.of_list !session_ns in
-          if Array.length samples = 0 then
-            List.assoc_opt "session_verb_ns_p50" snap = None
-          else
-            List.for_all
-              (fun (key, p) -> get key = Prob.Stats.quantile samples p)
-              [
-                ("session_verb_ns_p50", 0.5);
-                ("session_verb_ns_p95", 0.95);
-                ("session_verb_ns_p99", 0.99);
-              ])
-      && eq "sessions_open" session_total.Session.Store.open_now
-      && eq "sessions_opened" session_total.Session.Store.opened
-      && eq "sessions_decided" session_total.Session.Store.decided
-      && eq "sessions_expired" session_total.Session.Store.expired
-      && eq "sessions_invalidated" session_total.Session.Store.invalidated
-      && eq "sessions_rejected" session_total.Session.Store.rejected
-      && Hashtbl.fold
-           (fun verb n acc -> acc && eq ("req_" ^ verb) n)
-           per_verb true)
+      let total key = Option.value ~default:0 (Hashtbl.find_opt totals key) in
+      let hits = total "cache_hits" and misses = total "cache_misses" in
+      let expected =
+        ("cache_hit_rate",
+         Some
+           (if hits + misses = 0 then 0.
+            else float_of_int hits /. float_of_int (hits + misses)))
+        :: List.map
+             (fun (_, key) -> (key, Some (float_of_int (total key))))
+             metrics_counters
+        @ Hashtbl.fold
+            (fun verb n acc -> ("req_" ^ verb, Some (float_of_int n)) :: acc)
+            per_verb []
+        @ List.concat_map
+            (fun (timer, count_key, (k50, k95, k99), scale) ->
+              let per_shard = List.init (shards + 1) (taken timer) in
+              let recent =
+                Array.of_list
+                  (List.concat_map
+                     (List.filteri (fun i _ -> i < metrics_ring_size))
+                     per_shard)
+              in
+              let quantile p =
+                if Array.length recent = 0 then None
+                else Some (scale *. Prob.Stats.quantile recent p)
+              in
+              let taken = List.length (List.concat per_shard) in
+              (match count_key with
+              | Some key -> [ (key, Some (float_of_int taken)) ]
+              | None -> [])
+              @ [
+                  (k50, quantile 0.5); (k95, quantile 0.95);
+                  (k99, quantile 0.99);
+                ])
+            metrics_timers
+      in
+      List.for_all
+        (fun (key, want) ->
+          match want with
+          | Some v -> get key = v
+          | None -> not (List.mem_assoc key snap))
+        expected
+      && List.for_all
+           (fun (key, _) -> key = "uptime_s" || List.mem_assoc key expected)
+           snap)
 
 let metrics_tests = [ metrics_merge_qcheck ]
 
@@ -1373,6 +1363,49 @@ let session_cap_test () =
       Alcotest.(check (float 0.)) "two admissions" 2.
         (List.assoc "sessions_opened" stats))
 
+(* The [sessions_*] rows sum every shard's store: pools homed on
+   different shards each hold sessions, and the totals count them all. *)
+let session_rows_sum_shards_test () =
+  let domains = 3 in
+  let service = Serve.Service.create ~domains ~queue_capacity:16 () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Service.shutdown service)
+    (fun () ->
+      let submit r = Serve.Service.submit service r in
+      (* One pool per home shard, by the service's pool-name affinity. *)
+      let pools =
+        List.init domains (fun home ->
+            let rec find i =
+              let name = Printf.sprintf "home%d" i in
+              if Hashtbl.hash name mod domains = home then name
+              else find (i + 1)
+            in
+            find 0)
+      in
+      List.iteri
+        (fun i pool ->
+          let workers = wire_workers (test_pool 5) in
+          (match submit (Wire.Pool_put { name = pool; workers }) with
+          | Wire.Pool_info _ -> ()
+          | r -> Alcotest.failf "pool-put %s: %s" pool (Wire.encode_response r));
+          (* i + 1 sessions on the i-th pool; the first of them closed. *)
+          for k = 0 to i do
+            let task = Printf.sprintf "t%d" k in
+            match submit (session_open_request ~pool ~task) with
+            | Wire.Session_result _ -> ()
+            | r ->
+                Alcotest.failf "open %s/%s: %s" pool task (Wire.encode_response r)
+          done;
+          match submit (Wire.Session_close { pool; task = "t0" }) with
+          | Wire.Session_result { state = Wire.Sess_closed; _ } -> ()
+          | r -> Alcotest.failf "close %s/t0: %s" pool (Wire.encode_response r))
+        pools;
+      let stats = Serve.Service.stats service in
+      Alcotest.(check (float 0.)) "opened on every shard" 6.
+        (List.assoc "sessions_opened" stats);
+      Alcotest.(check (float 0.)) "resident on every shard" 3.
+        (List.assoc "sessions_open" stats))
+
 (* ---- quality plane ---------------------------------------------------- *)
 
 let scalar_rows qs = List.map (fun q -> Wire.Scalar (q, 1.)) qs
@@ -1762,6 +1795,8 @@ let session_service_tests =
       session_invalidation_test;
     Alcotest.test_case "session store cap refuses then readmits" `Quick
       session_cap_test;
+    Alcotest.test_case "session rows sum every shard's store" `Quick
+      session_rows_sum_shards_test;
   ]
 
 let service_tests =
