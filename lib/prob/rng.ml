@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live in one 32-byte buffer, read and
+   written as little-endian int64s.  Mutable [int64] record fields box on
+   every write; [Bytes.get_int64_le]/[set_int64_le] compile to unboxed
+   loads and stores, so a draw allocates nothing. *)
+type t = Bytes.t
+
+let[@inline] get g i = Bytes.get_int64_le g (8 * i)
+let[@inline] set g i v = Bytes.set_int64_le g (8 * i) v
 
 (* splitmix64: expands an integer seed into well-mixed 64-bit words, the
    recommended way to initialize xoshiro state. *)
@@ -10,56 +17,56 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let of_splitmix start =
+  let state = ref start in
+  let g = Bytes.create 32 in
+  for i = 0 to 3 do
+    set g i (splitmix64_next state)
+  done;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let create seed = of_splitmix (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+let[@inline] bits64 g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set g 0 s0;
+  set g 1 s1;
+  set g 2 (logxor s2 t);
+  set g 3 (rotl s3 45);
   result
 
 let fingerprint g =
   (* Reads the state words without advancing the stream: two generators have
      equal fingerprints iff their future outputs coincide. *)
-  Printf.sprintf "%Lx.%Lx.%Lx.%Lx" g.s0 g.s1 g.s2 g.s3
+  Printf.sprintf "%Lx.%Lx.%Lx.%Lx" (get g 0) (get g 1) (get g 2) (get g 3)
 
 let split g =
   (* Reseed a fresh generator from the parent's stream; splitmix64 mixing
      decorrelates the child from the parent's continuation. *)
-  let state = ref (bits64 g) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  of_splitmix (bits64 g)
+
+(* Rejection sampling on the top 62 bits (OCaml ints are 63-bit, so a
+   63-bit value could come out negative) avoids modulo bias.  A top-level
+   loop rather than a local closure, so a draw allocates nothing. *)
+let rec draw_below g bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then draw_below g bound else v
 
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits (OCaml ints are 63-bit, so a
-     63-bit value could come out negative) avoids modulo bias. *)
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then draw () else v
-  in
-  draw ()
+  draw_below g bound
 
 let unit_float g =
   (* 53 uniform bits mapped to [0, 1). *)

@@ -3,8 +3,9 @@
     Each executor domain owns a private metrics shard guarded by a mutex
     that only that executor and the occasional {!snapshot} ever take, so
     the record path never blocks on another domain's traffic.  Submitting
-    threads (control-plane replies, overload rejections) share one extra
-    shard: those events are rare and cheap.
+    threads (control-plane replies, reads answered inline, overload
+    rejections) share one extra shard; in the daemon the event thread is
+    the only submitter, so its lock is uncontended.
 
     A shard holds one int per {!counter}, one ring of recent samples per
     {!timer}, a per-verb request table and the request-latency histogram.

@@ -96,11 +96,54 @@ let upsert t ~name pool =
       Hashtbl.replace t.table name entry;
       t.generation)
 
-let find t name =
-  with_lock t (fun () ->
-      Option.map
-        (fun (e : entry) -> (e.pool, e.version))
-        (Hashtbl.find_opt t.table name))
+(* ---- calls under a held lock ----------------------------------------- *)
+
+type held = t
+
+let locked t f = with_lock t (fun () -> f t)
+
+let try_locked t f =
+  if Mutex.try_lock t.lock then (
+    match f t with
+    | v ->
+        Mutex.unlock t.lock;
+        Some v
+    | exception e ->
+        Mutex.unlock t.lock;
+        raise e)
+  else None
+
+module Held = struct
+  let find t name =
+    Option.map
+      (fun (e : entry) -> (e.pool, e.version))
+      (Hashtbl.find_opt t.table name)
+
+  let quality t ~name =
+    match Hashtbl.find_opt t.table name with
+    | None -> None
+    | Some entry ->
+        let ids = Array.of_list (Engine.Pool.ids entry.pool) in
+        let rows =
+          List.init (Array.length ids) (fun i ->
+              ( ids.(i),
+                Workers.Calib.quality entry.calib i,
+                Workers.Calib.votes_seen entry.calib i ))
+        in
+        Some (rows, entry.version)
+
+  let note_standing t ~name ~budget ~prior ~seed ~jury =
+    match Hashtbl.find_opt t.table name with
+    | None -> ()
+    | Some entry ->
+        let same s = s.budget = budget && s.prior = prior && s.seed = seed in
+        let rest = List.filter (fun s -> not (same s)) entry.standing in
+        let spec = { budget; prior; seed; jury } in
+        let keep = min (t.standing_cap - 1) (List.length rest) in
+        entry.standing <- spec :: List.filteri (fun i _ -> i < keep) rest
+end
+
+let find t name = locked t (fun h -> Held.find h name)
 
 let list t =
   with_lock t (fun () ->
@@ -158,31 +201,6 @@ let recal t ~name =
       match Hashtbl.find_opt t.table name with
       | None -> Error `Unknown_pool
       | Some entry -> Ok (absorb t entry (Workers.Calib.recalibrate entry.calib)))
-
-let quality t ~name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> None
-      | Some entry ->
-          let ids = Array.of_list (Engine.Pool.ids entry.pool) in
-          let rows =
-            List.init (Array.length ids) (fun i ->
-                ( ids.(i),
-                  Workers.Calib.quality entry.calib i,
-                  Workers.Calib.votes_seen entry.calib i ))
-          in
-          Some (rows, entry.version))
-
-let note_standing t ~name ~budget ~prior ~seed ~jury =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> ()
-      | Some entry ->
-          let same s = s.budget = budget && s.prior = prior && s.seed = seed in
-          let rest = List.filter (fun s -> not (same s)) entry.standing in
-          let spec = { budget; prior; seed; jury } in
-          let keep = min (t.standing_cap - 1) (List.length rest) in
-          entry.standing <- spec :: List.filteri (fun i _ -> i < keep) rest)
 
 let standing t name =
   with_lock t (fun () ->

@@ -10,7 +10,7 @@
     The invalidation contract is unchanged and is what keeps every warm
     cache correct by construction: all quality mutations flow through
     {!report} / {!recal}, every applied batch bumps the registry-wide
-    generation and stamps the pool with a fresh version, and executor-side
+    generation and stamps the pool with a fresh version, and the service's
     caches (jury-row and jq memos, session stores) are keyed by
     (name, version, ...), so there is no code path that can observe
     recalibrated qualities through a stale cache.
@@ -65,16 +65,6 @@ val recal : t -> name:string -> (ingest, [ `Unknown_pool ]) result
 (** Force a full calibration step now (pending votes included, EM run to
     convergence), bumping the version when anything moved. *)
 
-val quality : t -> name:string -> ((int * float * int) list * int) option
-(** Per-worker readback: (worker id, current quality, votes seen) in pool
-    order, plus the pool version. *)
-
-val note_standing :
-  t -> name:string -> budget:float -> prior:float list -> seed:int ->
-  jury:int list -> unit
-(** Record a solved standing jury for the pool (spec = budget, prior,
-    seed).  Specs are deduplicated and capped; unknown pools are ignored. *)
-
 val standing : t -> string -> (float * float list * int * int list) list
 (** Recorded (budget, prior, seed, jury) specs, most recent first. *)
 
@@ -91,3 +81,40 @@ val stale_pools : t -> int
 
 val drift_total : t -> int
 (** Cumulative drift flags across all pools. *)
+
+(** {2 Calls under a held lock}
+
+    Every function above takes the registry lock for one call, waiting
+    for it if need be.  {!Held} runs inside {!locked} or {!try_locked}.
+    {!Service} answers warm reads on the submitting (event) thread, which
+    must never wait behind a calibration step ({!report} holds the lock
+    through it), so each registry call of such a read is a {!Held}
+    function run by {!try_locked}. *)
+
+type held
+(** The registry while the calling thread holds its lock.  Only
+    {!locked} and {!try_locked} hand one out, valid for that call only. *)
+
+val locked : t -> (held -> 'a) -> 'a
+(** [locked t f] runs [f] under the registry lock, waiting for it. *)
+
+val try_locked : t -> (held -> 'a) -> 'a option
+(** [try_locked t f] is [Some (f held)] when the lock is free at once and
+    [None] when another thread holds it; it never waits.  The lock is
+    released even when [f] raises. *)
+
+module Held : sig
+  val find : held -> string -> (Engine.Pool.t * int) option
+  (** As {!find}. *)
+
+  val quality : held -> name:string -> ((int * float * int) list * int) option
+  (** Per-worker readback: (worker id, current quality, votes seen) in
+      pool order, plus the pool version. *)
+
+  val note_standing :
+    held -> name:string -> budget:float -> prior:float list -> seed:int ->
+    jury:int list -> unit
+  (** Record a solved standing jury for the pool (spec = budget, prior,
+      seed).  Specs are deduplicated and capped; unknown pools are
+      ignored. *)
+end

@@ -50,6 +50,7 @@ type t = {
   lock : Mutex.t;
   mutable state : [ `Created | `Running | `Stopped ];
   mutable thread : Thread.t option;
+  mutable loop_id : int; (* Thread.id of the event thread; -1 before it runs *)
   mutable conns_open : int;
   mutable conns_accepted : int;
   mutable conns_rejected : int;
@@ -81,11 +82,14 @@ let wake t =
   wake_locked t;
   Mutex.unlock t.qlock
 
+(* A reply completed on the event thread itself (an inline read or
+   control verb) needs no wakeup: the loop drains completions after every
+   wait, and until quiescent. *)
 let completed t conn response =
   Mutex.lock t.qlock;
   if t.wake_open then begin
     t.completions <- (conn, response) :: t.completions;
-    wake_locked t
+    if Thread.id (Thread.self ()) <> t.loop_id then wake_locked t
   end;
   Mutex.unlock t.qlock
 
@@ -466,6 +470,7 @@ let create ?(backlog = 64) ?(max_conns = 1024) ?(idle_timeout = 0.)
       lock = Mutex.create ();
       state = `Created;
       thread = None;
+      loop_id = -1;
       conns_open = 0;
       conns_accepted = 0;
       conns_rejected = 0;
@@ -495,7 +500,13 @@ let start t =
   Mutex.lock t.lock;
   if t.state = `Created then begin
     t.state <- `Running;
-    t.thread <- Some (Thread.create loop_body t)
+    t.thread <-
+      Some
+        (Thread.create
+           (fun t ->
+             t.loop_id <- Thread.id (Thread.self ());
+             loop_body t)
+           t)
   end;
   Mutex.unlock t.lock
 

@@ -7,7 +7,9 @@
     decodes complete lines, and hands requests to
     {!Service.submit_async}; executor completions are queued back to the
     loop (self-pipe wakeup), which writes replies with partial-write
-    continuation.  A connection is a serial request/response stream —
+    continuation.  Replies the service completes on the event thread
+    itself (control verbs, reads answered inline) join the same queue
+    without a wakeup: the loop drains it after every wait.  A connection is a serial request/response stream —
     clients may pipeline request lines freely; the server buffers them
     (with backpressure past the line bound) and answers strictly in
     order, so replies are byte-identical to direct {!Service.submit}

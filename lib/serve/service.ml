@@ -42,30 +42,33 @@ type job = {
 
 (* A bounded memo: on reaching its cap it is emptied wholesale (the
    Jsp.Objective_cache epoch rule), so no per-entry bookkeeping runs on a
-   hit. *)
+   hit.  Its mutex is held for one find or one add, never across a
+   computation, so a reader on the event thread cannot wait behind a
+   solve. *)
 module Memo = struct
-  type ('k, 'v) t = { cap : int; table : ('k, 'v) Hashtbl.t }
+  type ('k, 'v) t = { cap : int; table : ('k, 'v) Hashtbl.t; lock : Mutex.t }
 
-  let create cap = { cap; table = Hashtbl.create 64 }
-  let find t key = Hashtbl.find_opt t.table key
+  let create cap = { cap; table = Hashtbl.create 64; lock = Mutex.create () }
+
+  let find t key =
+    Mutex.lock t.lock;
+    let v = Hashtbl.find_opt t.table key in
+    Mutex.unlock t.lock;
+    v
 
   let add t key value =
+    Mutex.lock t.lock;
     if Hashtbl.length t.table >= t.cap then Hashtbl.reset t.table;
-    Hashtbl.replace t.table key value
+    Hashtbl.replace t.table key value;
+    Mutex.unlock t.lock
 end
 
 (* One solved jury row: what a select reply or a table row carries. *)
 type row = { ids : int list; score : float; cost : float }
 
-(* Warm per-executor state, touched only by the executor's own domain. *)
+(* Per-executor compute state, touched only by the executor's own domain. *)
 type exec = {
   shard : int;              (* This executor's queue and metrics shard. *)
-  rows : (string * int * float list * float * int, row) Memo.t;
-      (* (pool, version, prior, budget, seed) -> solved row.  Annealing is
-         a deterministic function of that key (the bucket count is fixed
-         per service), so a hit answers exactly what a fresh solve would. *)
-  jq_memo : (string * int * float list * int, float * float * int) Memo.t;
-      (* (pool, version, prior, buckets) -> (value, bound, n). *)
   incs : (float * int, Jq.Incremental.t) Memo.t;
       (* (alpha, buckets) -> reusable fixed-width evaluator (binary pools). *)
   workspace : Jq.Workspace.t;
@@ -81,6 +84,13 @@ let inc_cap = 8
 type t = {
   registry : Registry.t;
   metrics : Metrics.t;
+  rows : (string * int * float list * float * int, row) Memo.t;
+      (* (pool, version, prior, budget, seed) -> solved row, shared by every
+         executor and the submitting threads.  Annealing is a deterministic
+         function of that key (the bucket count is fixed per service), so
+         a hit answers exactly what a fresh solve would. *)
+  jq_memo : (string * int * float list * int, float * float * int) Memo.t;
+      (* (pool, version, prior, buckets) -> (value, bound, n). *)
   queue : job Dispatch.t;
   queue_capacity : int;
   n_domains : int;
@@ -120,7 +130,40 @@ let count t exec counter n = Metrics.add t.metrics ~shard:exec.shard counter n
 let time_since t exec timer t0 =
   Metrics.sample t.metrics ~shard:exec.shard timer (1e9 *. (Clock.now () -. t0))
 
-(* ---- executor-side evaluation -------------------------------------- *)
+(* ---- where a read runs ----------------------------------------------- *)
+
+(* A read (select, table, pool jq, quality, fleet-status) runs either on
+   an executor, which waits for locks and computes what no memo holds, or
+   on the submitting thread.  There it takes the registry and fleet-store
+   locks only with try_lock, each for one call, and answers only from
+   memos and resident state: a busy lock or anything to compute raises
+   [Needs_executor], and the request is queued instead.  Its memo hits
+   are tallied in [hits] and counted once the read is answered, so a
+   read that falls back is not counted twice. *)
+type caller = { mutable hits : Metrics.counter list }
+type site = Executor of exec | Caller of caller
+
+exception Needs_executor
+
+(* The executor to compute on; the submitting thread computes nothing. *)
+let executor = function Executor exec -> exec | Caller _ -> raise Needs_executor
+
+let count_hit t site counter =
+  match site with
+  | Executor exec -> count t exec counter 1
+  | Caller c -> c.hits <- counter :: c.hits
+
+let on_registry t site f =
+  match site with
+  | Executor _ -> Registry.locked t.registry f
+  | Caller _ -> (
+      match Registry.try_locked t.registry f with
+      | Some v -> v
+      | None -> raise Needs_executor)
+
+let find_pool t site name = on_registry t site (fun h -> Registry.Held.find h name)
+
+(* ---- evaluation ------------------------------------------------------ *)
 
 let incremental_for exec ~alpha ~num_buckets =
   let key = (alpha, num_buckets) in
@@ -162,52 +205,60 @@ let prior_mismatch ~prior ~labels =
 
 let task_of_prior prior = Engine.Task.make ~prior:(Array.of_list prior)
 
+(* The named pool and its version, or the error reply when it is unknown
+   or its label count disagrees with the prior. *)
+let checked_pool t site ~name ~prior =
+  match find_pool t site name with
+  | None -> Error (unknown_pool name)
+  | Some (pool, version) ->
+      let labels = Engine.Pool.labels pool in
+      if List.length prior <> labels then Error (prior_mismatch ~prior ~labels)
+      else Ok (pool, version)
+
 (* Pool-jq: memoized per pool version; a binary-pool miss reuses the
    executor's fixed-width incremental evaluator (reset + one add pass per
    member), a matrix-pool miss runs the tuple-key bucket estimator. *)
-let eval_jq_pool t exec ~name ~prior ~num_buckets =
-  match Registry.find t.registry name with
-  | None -> unknown_pool name
-  | Some (pool, version) ->
-      if List.length prior <> Engine.Pool.labels pool then
-        prior_mismatch ~prior ~labels:(Engine.Pool.labels pool)
-      else
-        let key = (name, version, prior, num_buckets) in
-        let value, bound, n =
-          match Memo.find exec.jq_memo key with
-          | Some hit ->
-              count t exec Metrics.Jq_memo_hits 1;
-              hit
-          | None ->
-              let t0 = Clock.now () in
-              let entry =
-                match Engine.Pool.repr pool with
-                | Engine.Pool.Binary scalars ->
-                    let alpha = List.hd prior in
-                    let inc = incremental_for exec ~alpha ~num_buckets in
-                    Jq.Incremental.reset inc;
-                    Array.iter (Jq.Incremental.add_worker inc)
-                      (Workers.Pool.qualities scalars);
-                    ( Jq.Incremental.value inc,
-                      Jq.Incremental.error_bound inc,
-                      Workers.Pool.size scalars )
-                | Engine.Pool.Matrix _ ->
-                    let scored =
-                      Engine.Objective.bv_bucket_scored ~num_buckets
-                        ~workspace:exec.workspace ()
-                        ~task:(task_of_prior prior) pool
-                    in
-                    count t exec Metrics.Jq_flat_fallbacks
-                      scored.Engine.Objective.flat_fallbacks;
-                    ( scored.Engine.Objective.score,
-                      scored.Engine.Objective.bound,
-                      Engine.Pool.size pool )
-              in
-              time_since t exec Metrics.Jq_eval t0;
-              Memo.add exec.jq_memo key entry;
-              entry
-        in
-        Wire.Jq_result { value; error_bound = bound; n }
+let eval_jq_pool t site ~name ~prior ~num_buckets =
+  match checked_pool t site ~name ~prior with
+  | Error reply -> reply
+  | Ok (pool, version) ->
+      let key = (name, version, prior, num_buckets) in
+      let value, bound, n =
+        match Memo.find t.jq_memo key with
+        | Some hit ->
+            count_hit t site Metrics.Jq_memo_hits;
+            hit
+        | None ->
+            let exec = executor site in
+            let t0 = Clock.now () in
+            let entry =
+              match Engine.Pool.repr pool with
+              | Engine.Pool.Binary scalars ->
+                  let alpha = List.hd prior in
+                  let inc = incremental_for exec ~alpha ~num_buckets in
+                  Jq.Incremental.reset inc;
+                  Array.iter (Jq.Incremental.add_worker inc)
+                    (Workers.Pool.qualities scalars);
+                  ( Jq.Incremental.value inc,
+                    Jq.Incremental.error_bound inc,
+                    Workers.Pool.size scalars )
+              | Engine.Pool.Matrix _ ->
+                  let scored =
+                    Engine.Objective.bv_bucket_scored ~num_buckets
+                      ~workspace:exec.workspace ()
+                      ~task:(task_of_prior prior) pool
+                  in
+                  count t exec Metrics.Jq_flat_fallbacks
+                    scored.Engine.Objective.flat_fallbacks;
+                  ( scored.Engine.Objective.score,
+                    scored.Engine.Objective.bound,
+                    Engine.Pool.size pool )
+            in
+            time_since t exec Metrics.Jq_eval t0;
+            Memo.add t.jq_memo key entry;
+            entry
+      in
+      Wire.Jq_result { value; error_bound = bound; n }
 
 let eval_jq_inline t exec ~qualities ~prior ~num_buckets =
   match prior with
@@ -233,14 +284,17 @@ let eval_jq_inline t exec ~qualities ~prior ~num_buckets =
 
 (* A memo hit skips the annealer; a miss runs it with its own fresh score
    cache, exactly as a never-seen key does, and stores the row only once
-   the solve has returned. *)
-let solve_select t exec ~pool ~version ~pool_name ~budget ~prior ~seed =
+   the solve has returned.  An executor checks the memo even for a read
+   the submitting thread just missed: a duplicate queued behind a miss
+   is answered from the row that miss stored. *)
+let solve_select t site ~pool ~version ~pool_name ~budget ~prior ~seed =
   let key = (pool_name, version, prior, budget, seed) in
-  match Memo.find exec.rows key with
+  match Memo.find t.rows key with
   | Some row ->
-      count t exec Metrics.Select_memo_hits 1;
+      count_hit t site Metrics.Select_memo_hits;
       row
   | None ->
+      let exec = executor site in
       let result =
         Jsp.Annealing.solve_engine ~num_buckets:t.num_buckets
           ~rng:(Prob.Rng.create seed) ~task:(task_of_prior prior) ~budget pool
@@ -260,50 +314,38 @@ let solve_select t exec ~pool ~version ~pool_name ~budget ~prior ~seed =
           cost = Engine.Pool.total_cost jury;
         }
       in
-      Memo.add exec.rows key row;
+      Memo.add t.rows key row;
       row
 
-let eval_select t exec ~name ~budget ~prior ~seed =
-  match Registry.find t.registry name with
-  | None -> unknown_pool name
-  | Some (pool, version) ->
-      if List.length prior <> Engine.Pool.labels pool then
-        prior_mismatch ~prior ~labels:(Engine.Pool.labels pool)
-      else
-        let row =
-          solve_select t exec ~pool ~version ~pool_name:name ~budget ~prior
-            ~seed
-        in
-        Registry.note_standing t.registry ~name ~budget ~prior ~seed
-          ~jury:row.ids;
-        Wire.Select_result { ids = row.ids; score = row.score; cost = row.cost }
+let eval_select t site ~name ~budget ~prior ~seed =
+  match checked_pool t site ~name ~prior with
+  | Error reply -> reply
+  | Ok (pool, version) ->
+      let row =
+        solve_select t site ~pool ~version ~pool_name:name ~budget ~prior ~seed
+      in
+      on_registry t site (fun h ->
+          Registry.Held.note_standing h ~name ~budget ~prior ~seed ~jury:row.ids);
+      Wire.Select_result { ids = row.ids; score = row.score; cost = row.cost }
 
 (* Each row is solved exactly as the equivalent [select] (same memo key,
    fresh RNG from the same seed on a miss), so a table is byte-wise
    consistent with row-by-row selects. *)
-let eval_table t exec ~name ~budgets ~prior ~seed =
-  match Registry.find t.registry name with
-  | None -> unknown_pool name
-  | Some (pool, version) ->
-      if List.length prior <> Engine.Pool.labels pool then
-        prior_mismatch ~prior ~labels:(Engine.Pool.labels pool)
-      else
-        let rows =
-          List.map
-            (fun budget ->
-              let row =
-                solve_select t exec ~pool ~version ~pool_name:name ~budget
-                  ~prior ~seed
-              in
-              {
-                Wire.budget;
-                ids = row.ids;
-                quality = row.score;
-                required = row.cost;
-              })
-            budgets
-        in
-        Wire.Table_result rows
+let eval_table t site ~name ~budgets ~prior ~seed =
+  match checked_pool t site ~name ~prior with
+  | Error reply -> reply
+  | Ok (pool, version) ->
+      let rows =
+        List.map
+          (fun budget ->
+            let row =
+              solve_select t site ~pool ~version ~pool_name:name ~budget ~prior
+                ~seed
+            in
+            { Wire.budget; ids = row.ids; quality = row.score; required = row.cost })
+          budgets
+      in
+      Wire.Table_result rows
 
 (* ---- quality plane --------------------------------------------------- *)
 
@@ -325,8 +367,8 @@ let reselect_standing t exec ~name =
             List.map
               (fun (budget, prior, seed, _old) ->
                 let row =
-                  solve_select t exec ~pool ~version ~pool_name:name ~budget
-                    ~prior ~seed
+                  solve_select t (Executor exec) ~pool ~version ~pool_name:name
+                    ~budget ~prior ~seed
                 in
                 (budget, prior, seed, row.ids))
               specs
@@ -371,8 +413,8 @@ let eval_recal t exec ~name =
   | Ok reply -> reply
   | Error `Unknown_pool -> unknown_pool name
 
-let eval_quality t ~name =
-  match Registry.quality t.registry ~name with
+let eval_quality t site ~name =
+  match on_registry t site (fun h -> Registry.Held.quality h ~name) with
   | None -> unknown_pool name
   | Some (workers, version) -> Wire.Quality_result { name; version; workers }
 
@@ -591,29 +633,43 @@ let eval_session t exec request =
    moved — quality-plane batches and pool-puts invalidate fleet state by
    the same version rule as every other per-pool cache.  The allocator
    fans inner solves itself, so it runs with [domains = 1] here: the
-   service's parallelism is across shards, not within one verb. *)
-let with_fleet t ~pool_name f =
-  match Registry.find t.registry pool_name with
+   service's parallelism is across shards, not within one verb.  On the
+   submitting thread the store lock is only tried, and only an allocator
+   already at the registry's version is used: creating one, or resyncing
+   it (a full re-solve), is left to an executor. *)
+let with_fleet t site ~pool_name f =
+  match find_pool t site pool_name with
   | None -> unknown_pool pool_name
-  | Some (pool, version) ->
+  | Some (pool, version) -> (
       let lock, store = fleet_store t pool_name in
-      with_lock lock (fun () ->
-          let alloc =
-            match Hashtbl.find_opt store pool_name with
-            | Some a ->
-                Fleet.Allocator.set_pool a ~pool ~version;
-                a
-            | None ->
-                let config =
-                  { Fleet.Allocator.default_config with
-                    num_buckets = t.num_buckets;
-                  }
-                in
-                let a = Fleet.Allocator.create ~config ~pool ~version () in
-                Hashtbl.add store pool_name a;
-                a
-          in
-          f alloc)
+      match site with
+      | Caller _ ->
+          if not (Mutex.try_lock lock) then raise Needs_executor;
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock lock)
+            (fun () ->
+              match Hashtbl.find_opt store pool_name with
+              | Some alloc when Fleet.Allocator.pool_version alloc = version ->
+                  f alloc
+              | _ -> raise Needs_executor)
+      | Executor _ ->
+          with_lock lock (fun () ->
+              let alloc =
+                match Hashtbl.find_opt store pool_name with
+                | Some a ->
+                    Fleet.Allocator.set_pool a ~pool ~version;
+                    a
+                | None ->
+                    let config =
+                      { Fleet.Allocator.default_config with
+                        num_buckets = t.num_buckets;
+                      }
+                    in
+                    let a = Fleet.Allocator.create ~config ~pool ~version () in
+                    Hashtbl.add store pool_name a;
+                    a
+              in
+              f alloc))
 
 let fleet_task_reply ~pool_name (a : Fleet.Allocator.assignment) =
   Wire.Fleet_task
@@ -628,7 +684,7 @@ let fleet_task_reply ~pool_name (a : Fleet.Allocator.assignment) =
 
 let eval_fleet_submit t exec ~pool_name ~task_name ~prior ~budget ~tier ~target
     =
-  with_fleet t ~pool_name (fun alloc ->
+  with_fleet t (Executor exec) ~pool_name (fun alloc ->
       let labels = Engine.Pool.labels (Fleet.Allocator.pool alloc) in
       if List.length prior <> labels then prior_mismatch ~prior ~labels
       else
@@ -645,8 +701,8 @@ let eval_fleet_submit t exec ~pool_name ~task_name ~prior ~budget ~tier ~target
                 time_since t exec Metrics.Fleet_assign t0;
                 fleet_task_reply ~pool_name assignment))
 
-let eval_fleet_status t ~pool_name ~task_name =
-  with_fleet t ~pool_name (fun alloc ->
+let eval_fleet_status t site ~pool_name ~task_name =
+  with_fleet t site ~pool_name (fun alloc ->
       match task_name with
       | Some task_name -> (
           match Fleet.Allocator.find alloc ~id:task_name with
@@ -672,7 +728,7 @@ let eval_fleet_status t ~pool_name ~task_name =
             })
 
 let eval_fleet_release t exec ~pool_name ~task_name ~decided =
-  with_fleet t ~pool_name (fun alloc ->
+  with_fleet t (Executor exec) ~pool_name (fun alloc ->
       match Fleet.Allocator.release alloc ~id:task_name ~decided with
       | None -> unknown_task ~pool_name ~task_name
       | Some (assignment : Fleet.Allocator.assignment) ->
@@ -759,27 +815,36 @@ let session_gauges t =
     ("sessions_rejected", f s.rejected);
   ]
 
-let eval t exec request =
+(* The reads: verbs that compute nothing when their answer is memoized or
+   resident.  The only other verbs here are never reads. *)
+let eval_read t site request =
   match request with
   | Wire.Jq { source = Wire.Named name; prior; num_buckets } ->
-      eval_jq_pool t exec ~name ~prior ~num_buckets
+      eval_jq_pool t site ~name ~prior ~num_buckets
+  | Wire.Select { pool; budget; prior; seed } ->
+      eval_select t site ~name:pool ~budget ~prior ~seed
+  | Wire.Table { pool; budgets; prior; seed } ->
+      eval_table t site ~name:pool ~budgets ~prior ~seed
+  | Wire.Quality { pool } -> eval_quality t site ~name:pool
+  | Wire.Fleet_status { pool; task } ->
+      eval_fleet_status t site ~pool_name:pool ~task_name:task
+  | _ -> raise Needs_executor
+
+let eval t exec request =
+  match request with
+  | Wire.Jq { source = Wire.Named _; _ } | Wire.Select _ | Wire.Table _
+  | Wire.Quality _ | Wire.Fleet_status _ ->
+      eval_read t (Executor exec) request
   | Wire.Jq { source = Wire.Inline qualities; prior; num_buckets } ->
       eval_jq_inline t exec ~qualities ~prior ~num_buckets
-  | Wire.Select { pool; budget; prior; seed } ->
-      eval_select t exec ~name:pool ~budget ~prior ~seed
-  | Wire.Table { pool; budgets; prior; seed } ->
-      eval_table t exec ~name:pool ~budgets ~prior ~seed
   | Wire.Session_open _ | Wire.Session_vote _ | Wire.Session_advise _
   | Wire.Session_decide _ | Wire.Session_close _ ->
       eval_session t exec request
   | Wire.Report { pool; votes } -> eval_report t exec ~name:pool votes
   | Wire.Recal { pool } -> eval_recal t exec ~name:pool
-  | Wire.Quality { pool } -> eval_quality t ~name:pool
   | Wire.Fleet_submit { pool; task; prior; budget; tier; target } ->
       eval_fleet_submit t exec ~pool_name:pool ~task_name:task ~prior ~budget
         ~tier ~target
-  | Wire.Fleet_status { pool; task } ->
-      eval_fleet_status t ~pool_name:pool ~task_name:task
   | Wire.Fleet_release { pool; task; decided } ->
       eval_fleet_release t exec ~pool_name:pool ~task_name:task ~decided
   | Wire.Ping | Wire.Stats | Wire.Pool_put _ | Wire.Pool_list ->
@@ -813,11 +878,13 @@ let verb_of = function
 
 let response_ok = function Wire.Error _ -> false | _ -> true
 
+(* Count the reply before handing it over, so a [stats] the client sends
+   once it has the reply already includes it. *)
 let reply t exec job response =
-  job.complete response;
   Metrics.record t.metrics ~shard:exec.shard ~verb:(verb_of job.request)
     ~latency:(Clock.now () -. job.submitted)
-    ~ok:(response_ok response)
+    ~ok:(response_ok response);
+  job.complete response
 
 (* Two queued jobs coalesce when they are jq queries answered by the very
    same evaluation: same named pool, prior and bucket count. *)
@@ -892,6 +959,8 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
     {
       registry = Registry.create ?calib_config ();
       metrics = Metrics.create ~shards:n_domains ();
+      rows = Memo.create (row_memo_cap * n_domains);
+      jq_memo = Memo.create (jq_memo_cap * n_domains);
       queue = Dispatch.create ~shards:n_domains ~capacity:queue_capacity;
       queue_capacity;
       n_domains;
@@ -917,8 +986,6 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
         let exec =
           {
             shard;
-            rows = Memo.create row_memo_cap;
-            jq_memo = Memo.create jq_memo_cap;
             incs = Memo.create inc_cap;
             workspace = Jq.Workspace.create ();
           }
@@ -968,11 +1035,52 @@ let affinity_of t request =
       Hashtbl.hash name
   | _ -> Atomic.fetch_and_add t.inline_rr 1
 
-(* One submission path for both faces: control-plane verbs are answered
-   inline on the calling thread (and [complete]d immediately), compute
-   verbs are enqueued with [complete] as their continuation.  [complete]
-   is called exactly once — synchronously for inline replies, admission
-   rejections and drain refusals, from an executor domain otherwise. *)
+(* Answer a read on the calling thread when it needs no computation and no
+   lock that another thread holds; [None] sends it to the queue.  Its memo
+   hits land on the submitter shard, as its request does. *)
+let read_inline t request =
+  let caller = { hits = [] } in
+  match eval_read t (Caller caller) request with
+  | response ->
+      let shard = Metrics.submitter t.metrics in
+      List.iter (fun counter -> Metrics.add t.metrics ~shard counter 1) caller.hits;
+      Some response
+  | exception _ ->
+      (* [Needs_executor], or a failure the executor will report exactly
+         as the queued path always has. *)
+      None
+
+let enqueue t ~start request ~complete =
+  let job =
+    {
+      request;
+      submitted = start;
+      deadline = (match t.deadline with Some d -> start +. d | None -> infinity);
+      complete;
+    }
+  in
+  match Dispatch.push t.queue ~affinity:(affinity_of t request) job with
+  | `Ok -> ()
+  | `Closed ->
+      complete
+        (inline_reply t ~start request
+           (Wire.Error { code = Wire.Shutdown; message = "service draining" }))
+  | `Overload ->
+      Metrics.overload t.metrics;
+      complete
+        (Wire.Error
+           {
+             code = Wire.Overload;
+             message = Printf.sprintf "queue full (%d waiting)" t.queue_capacity;
+           })
+
+(* One submission path for both faces: control-plane verbs, and reads
+   that need no computation, are answered inline on the calling thread
+   (and [complete]d immediately); everything else is enqueued with
+   [complete] as its continuation.  [complete] is called exactly once —
+   synchronously for inline replies, admission rejections and drain
+   refusals, from an executor domain otherwise.  Inline reads keep
+   answering while the service drains, as [ping] does. *)
 let dispatch t request ~complete =
   let start = Clock.now () in
   match request with
@@ -1017,34 +1125,16 @@ let dispatch t request ~complete =
           complete
             (inline_reply t ~start request
                (Wire.Error { code = Wire.Bad_request; message = msg })))
-  | Wire.Jq _ | Wire.Select _ | Wire.Table _ | Wire.Session_open _
+  | Wire.Jq { source = Wire.Named _; _ } | Wire.Select _ | Wire.Table _
+  | Wire.Quality _ | Wire.Fleet_status _ -> (
+      match read_inline t request with
+      | Some response -> complete (inline_reply t ~start request response)
+      | None -> enqueue t ~start request ~complete)
+  | Wire.Jq { source = Wire.Inline _; _ } | Wire.Session_open _
   | Wire.Session_vote _ | Wire.Session_advise _ | Wire.Session_decide _
-  | Wire.Session_close _ | Wire.Report _ | Wire.Quality _ | Wire.Recal _
-  | Wire.Fleet_submit _ | Wire.Fleet_status _ | Wire.Fleet_release _ -> (
-      let job =
-        {
-          request;
-          submitted = start;
-          deadline =
-            (match t.deadline with Some d -> start +. d | None -> infinity);
-          complete;
-        }
-      in
-      match Dispatch.push t.queue ~affinity:(affinity_of t request) job with
-      | `Ok -> ()
-      | `Closed ->
-          complete
-            (inline_reply t ~start request
-               (Wire.Error { code = Wire.Shutdown; message = "service draining" }))
-      | `Overload ->
-          Metrics.overload t.metrics;
-          complete
-            (Wire.Error
-               {
-                 code = Wire.Overload;
-                 message =
-                   Printf.sprintf "queue full (%d waiting)" t.queue_capacity;
-               }))
+  | Wire.Session_close _ | Wire.Report _ | Wire.Recal _ | Wire.Fleet_submit _
+  | Wire.Fleet_release _ ->
+      enqueue t ~start request ~complete
 
 let submit t request =
   let cell = Cell.create () in

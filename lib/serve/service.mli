@@ -5,8 +5,15 @@
     spill and bounded work-stealing) fed by {!submit}.  Control-plane
     requests (ping, stats, pool upsert/list) are answered inline by the
     submitting thread — they stay responsive however backed up the
-    compute plane is.  Compute requests (jq, select, table, and the
-    session verbs open/vote/advise/decide/close) are enqueued
+    compute plane is.  So are reads that need no computation: a [select]
+    or a [table] whose every row is in the jury memo, a pool [jq] in the
+    [jq] memo, [quality], and [fleet-status] once the pool's allocator is
+    at the registry's version.  The submitting thread takes the registry
+    and fleet-store locks only with [try_lock]: a lock held by compute
+    (a calibration step, a fleet solve) sends the read to the queue
+    instead, so it never waits.  Compute requests (a memo miss, inline
+    [jq], the session verbs open/vote/advise/decide/close, and the
+    quality-plane and fleet writes) are enqueued
     on their pool's shard; when every shard with room is full the reply
     is an immediate [err overload] (admission control — total queue depth
     never grows past its bound), and a request that waits past its
@@ -15,21 +22,26 @@
     domain and merged only at snapshot time, so completing a request
     takes no lock contended across domains.
 
-    Each executor domain owns warm state keyed by pool version, touched
-    by that domain alone:
+    Warm state is keyed by pool version.  The service holds one of each
+    memo, shared by every executor and the submitting threads, each
+    behind a mutex held only for one find or add:
 
     - a jury memo from (pool, version, prior, budget, seed) to the solved
-      row (jury ids, score, cost), bounded at {!row_memo_cap} rows and
-      emptied wholesale on reaching it.  [select], every [table] row and
-      drift-triggered re-selection share it; a hit answers without
-      running the annealer, and a miss runs
+      row (jury ids, score, cost), bounded at {!row_memo_cap} rows per
+      domain and emptied wholesale on reaching it.  [select], every
+      [table] row and drift-triggered re-selection share it; a hit
+      answers without running the annealer, and a miss runs
       {!Jsp.Annealing.solve_engine} with its own fresh score cache, the
       same solve a never-seen key gets;
+    - a [jq] memo from (pool, version, prior, buckets) to the answer.
+
+    Each executor domain owns its compute state, touched by that domain
+    alone:
+
     - one reusable {!Jq.Incremental} evaluator per (alpha, buckets), used
-      for [jq] over binary pools: {!Jq.Incremental.reset} + re-adding the
-      pool reuses the grown key-map arrays, and the answers are memoized
-      per (pool, version, prior, buckets).  Matrix-pool [jq] runs the
-      ℓ-tuple bucket estimator under the same memo;
+      for a [jq] miss over a binary pool: {!Jq.Incremental.reset} +
+      re-adding the pool reuses the grown key-map arrays.  A matrix-pool
+      [jq] miss runs the ℓ-tuple bucket estimator instead;
     - batching: consecutive queued [jq] queries naming the same (pool,
       prior, buckets) are popped together and answered with a single
       evaluation — same-pool affinity routing keeps such runs on one
@@ -37,9 +49,9 @@
 
     Caching is invisible in results: a jury is a deterministic function
     of (pool, version, prior, budget, seed) and the service's fixed
-    bucket count, so any executor — memo hit or miss, owner or
-    work-stealing thief — returns byte-identical responses, whichever
-    worker model the pool holds.
+    bucket count, so any executor or the submitting thread — memo hit or
+    miss, owner or work-stealing thief — returns byte-identical
+    responses, whichever worker model the pool holds.
 
     Sequential sessions ({!Session.Task}) live in per-shard
     {!Session.Store}s indexed by the same pool-name hash that routes the
@@ -111,8 +123,8 @@ val submit : t -> Wire.request -> Wire.response
 val submit_async : t -> Wire.request -> k:(Wire.response -> unit) -> unit
 (** Like {!submit}, but non-blocking: [k] receives the response exactly
     once — synchronously on the calling thread for control-plane verbs,
-    admission rejections and post-shutdown refusals, from an executor
-    domain otherwise.  [k] must be cheap, thread-safe and non-raising
+    reads answered inline, admission rejections and post-shutdown
+    refusals, from an executor domain otherwise.  [k] must be cheap, thread-safe and non-raising
     (the TCP event loop's completion hook is the intended caller). *)
 
 val registry : t -> Registry.t
@@ -120,7 +132,8 @@ val metrics : t -> Metrics.t
 val domains : t -> int
 
 val row_memo_cap : int
-(** Rows each executor's jury memo holds before it is emptied. *)
+(** Jury-memo rows per executor domain: the service's one jury memo holds
+    [row_memo_cap * domains] rows before it is emptied. *)
 
 val stats : t -> (string * float) list
 (** {!Metrics.snapshot} plus service gauges ([domains], [queue_len],
@@ -129,5 +142,6 @@ val stats : t -> (string * float) list
 
 val shutdown : t -> unit
 (** Close the queue, finish already-admitted work, and join the executor
-    domains.  Later compute submissions get [err shutdown]; control-plane
-    requests keep working.  Idempotent. *)
+    domains.  Later submissions that must be queued get [err shutdown];
+    control-plane requests and reads answered inline keep working.
+    Idempotent. *)

@@ -3,13 +3,15 @@
    Each "> " line of a transcript is a request, the "< " line after it
    the exact reply a fresh one-domain service gave.  Replaying a
    transcript against a fresh service must reproduce every reply byte
-   for byte.
+   for byte, at 1, 2 and 4 executor domains: the jury and jq memos are
+   shared by every executor and read from the submitting thread, and a
+   reply must not depend on which of them answers.
 
    golden/solver_verbs.txt covers select and table on a 40-worker scalar
    pool, a 12-worker 3-label matrix pool and a 10-worker symmetric 2x2
    matrix pool (lowered to scalars), over several budgets, seeds and
    priors, each request sent twice so the second pass is answered from
-   the executor's memos; jq pool= on every pool; and a fleet-submit /
+   the service's memos; jq pool= on every pool; and a fleet-submit /
    fleet-status / fleet-release sequence on two pools.  Any change to a
    solver, scorer or cache that moves a reply fails it.
 
@@ -47,9 +49,9 @@ let rec exchanges = function
       (strip "> " request, strip "< " reply) :: exchanges rest
   | [ line ] -> Alcotest.failf "request without a reply: %s" line
 
-let test_replay transcript () =
+let test_replay ~domains transcript () =
   let pairs = exchanges (read_lines transcript) in
-  let svc = Serve.Service.create ~domains:1 () in
+  let svc = Serve.Service.create ~domains () in
   Fun.protect
     ~finally:(fun () -> Serve.Service.shutdown svc)
     (fun () ->
@@ -70,10 +72,18 @@ let () =
   Alcotest.run "golden"
     [
       ( "replies",
-        [
-          Alcotest.test_case "solver verbs byte for byte" `Quick
-            (test_replay "golden/solver_verbs.txt");
-          Alcotest.test_case "state verbs byte for byte" `Quick
-            (test_replay "golden/state_verbs.txt");
-        ] );
+        List.concat_map
+          (fun (name, transcript) ->
+            List.map
+              (fun domains ->
+                let label =
+                  if domains = 1 then name ^ " byte for byte"
+                  else Printf.sprintf "%s byte for byte at %d domains" name domains
+                in
+                Alcotest.test_case label `Quick (test_replay ~domains transcript))
+              [ 1; 2; 4 ])
+          [
+            ("solver verbs", "golden/solver_verbs.txt");
+            ("state verbs", "golden/state_verbs.txt");
+          ] );
     ]

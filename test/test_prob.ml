@@ -57,6 +57,21 @@ let test_rng_int_invalid () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Prob.Rng.int g 0))
 
+(* The generator state is an unboxed buffer: drawing an int allocates
+   nothing on the minor heap. *)
+let test_rng_int_allocation_free () =
+  let g = Prob.Rng.create 11 in
+  let draws = 100_000 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sum := !sum + Prob.Rng.int g 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int draws then
+    Alcotest.failf "%d Rng.int draws allocated %.0f minor words (sum %d)" draws
+      words !sum
+
 let test_rng_unit_float_range () =
   let g = Prob.Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -530,6 +545,8 @@ let () =
           Alcotest.test_case "split decorrelates" `Quick test_rng_split_decorrelates;
           test_rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
+          Alcotest.test_case "int draws allocate nothing" `Quick
+            test_rng_int_allocation_free;
           Alcotest.test_case "unit_float range" `Quick test_rng_unit_float_range;
           Alcotest.test_case "int uniform" `Slow test_rng_int_uniform;
           Alcotest.test_case "bernoulli frequency" `Slow test_rng_bernoulli_frequency;

@@ -1106,20 +1106,26 @@ let overload_test () =
         "overloads counted" true
         (List.assoc "overloads" stats > 0.))
 
+(* After shutdown a select that needs a solve is refused, while a
+   memo-hit select, like ping, is still answered: it runs on the calling
+   thread. *)
 let shutdown_test () =
   let service = Serve.Service.create ~domains:1 ~queue_capacity:4 () in
   ignore
     (Serve.Service.submit service
        (Wire.Pool_put { name = "p"; workers = [ Wire.Scalar (0.8, 1.) ] }));
+  let select seed =
+    Wire.Select { pool = "p"; budget = 2.; prior = Wire.default_prior; seed }
+  in
+  let warm = Serve.Service.submit service (select 7) in
   Serve.Service.shutdown service;
   Serve.Service.shutdown service;
   (* idempotent *)
-  (match
-     Serve.Service.submit service
-       (Wire.Select { pool = "p"; budget = 2.; prior = Wire.default_prior; seed = 1 })
-   with
+  (match Serve.Service.submit service (select 1) with
   | Wire.Error { code = Wire.Shutdown; _ } -> ()
   | r -> Alcotest.failf "post-shutdown select: %s" (Wire.encode_response r));
+  check_response "post-shutdown memo-hit select" warm
+    (Serve.Service.submit service (select 7));
   match Serve.Service.submit service Wire.Ping with
   | Wire.Pong -> ()
   | r -> Alcotest.failf "post-shutdown ping: %s" (Wire.encode_response r)
@@ -1714,7 +1720,17 @@ let memo_replay_test () =
             (Wire.Table_result [ row ])
       | r, _ -> Alcotest.failf "table: %s" (Wire.encode_response r));
       Alcotest.(check (float 0.)) "table row is a hit" 1. hits;
-      Alcotest.(check (float 0.)) "table row runs no solve" 0. misses)
+      Alcotest.(check (float 0.)) "table row runs no solve" 0. misses;
+      (* One memoized row and one new one: the table is solved once, on an
+         executor, and its one hit is counted once. *)
+      let _, hits, misses =
+        counting service (fun () ->
+            submit
+              (Wire.Table
+                 { pool = "memo"; budgets = [ 12.; 7. ]; prior = Wire.default_prior; seed = 9 }))
+      in
+      Alcotest.(check (float 0.)) "half-memoized table counts one hit" 1. hits;
+      Alcotest.(check bool) "half-memoized table solves its new row" true (misses > 0.))
 
 (* A version bump — pool-put or an applied report batch — keys a new
    row: the same select misses and is answered for the new version. *)
@@ -1762,6 +1778,144 @@ let memo_overflow_test () =
         again;
       Alcotest.(check (float 0.)) "evicted key is a miss" 0. hits;
       Alcotest.(check bool) "evicted key is solved again" true (misses > 0.))
+
+(* ---- inline reads ---------------------------------------------------- *)
+
+let warm_pool = "warm"
+
+let warm_reads =
+  [
+    ( "select",
+      Wire.Select { pool = warm_pool; budget = 12.; prior = Wire.default_prior; seed = 5 } );
+    ( "table",
+      Wire.Table
+        { pool = warm_pool; budgets = [ 6.; 12. ]; prior = Wire.default_prior; seed = 5 } );
+    ( "jq",
+      Wire.Jq { source = Wire.Named warm_pool; prior = Wire.default_prior; num_buckets = 50 } );
+    ("quality", Wire.Quality { pool = warm_pool });
+    ("fleet-status", Wire.Fleet_status { pool = warm_pool; task = None });
+    ("fleet-status task", Wire.Fleet_status { pool = warm_pool; task = Some "f" });
+  ]
+
+(* Register the warm pool with a fleet task on it, so that every read in
+   [warm_reads] has an answer. *)
+let prime_warm_pool service =
+  put_pool service warm_pool (test_pool 12);
+  match
+    Serve.Service.submit service
+      (Wire.Fleet_submit
+         { pool = warm_pool; task = "f"; prior = Wire.default_prior; budget = 10.; tier = 0;
+           target = 0. })
+  with
+  | Wire.Fleet_task _ -> ()
+  | r -> Alcotest.failf "fleet-submit: %s" (Wire.encode_response r)
+
+(* Submit [request] without blocking.  Its continuation applies [f] to the
+   reply, on whichever thread it runs; the returned function waits for
+   that and gives [f]'s result. *)
+let submit_await service request f =
+  let lock = Mutex.create () and cond = Condition.create () in
+  let result = ref None in
+  Serve.Service.submit_async service request ~k:(fun reply ->
+      let v = f reply in
+      Mutex.lock lock;
+      result := Some v;
+      Condition.signal cond;
+      Mutex.unlock lock);
+  fun () ->
+    Mutex.lock lock;
+    while !result = None do
+      Condition.wait cond lock
+    done;
+    Mutex.unlock lock;
+    Option.get !result
+
+let with_thread_id reply = (reply, Thread.id (Thread.self ()))
+
+(* [request]'s reply through the queue.  While this thread holds the
+   registry lock no read can be answered inline, so the request is
+   queued; the executor answers it once the lock is released. *)
+let rec queued_reply service request =
+  match
+    Serve.Registry.try_locked (Serve.Service.registry service) (fun _ ->
+        submit_await service request with_thread_id)
+  with
+  | None ->
+      Thread.yield ();
+      queued_reply service request
+  | Some wait ->
+      let reply, on = wait () in
+      if on = Thread.id (Thread.self ()) then
+        Alcotest.failf "%s was answered inline under a held registry lock"
+          (Wire.encode_request request);
+      reply
+
+(* With its one executor busy on a slow cold select and its one queue slot
+   taken, a service still answers every warm read, byte-equal to the
+   reply the same request got through the queue, while a request that
+   needs a solve is refused. *)
+let saturated_warm_reads_test () =
+  let service = Serve.Service.create ~domains:1 ~queue_capacity:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
+      let submit = Serve.Service.submit service in
+      put_pool service "big" (test_pool 120);
+      prime_warm_pool service;
+      let queued = List.map (fun (_, request) -> queued_reply service request) warm_reads in
+      let cold seed =
+        Wire.Select { pool = warm_pool; budget = 9.; prior = Wire.default_prior; seed }
+      in
+      let expect_overload what seed =
+        match submit (cold seed) with
+        | Wire.Error { code = Wire.Overload; _ } -> ()
+        | r -> Alcotest.failf "%s: a cold select got %s" what (Wire.encode_response r)
+      in
+      (* The executor takes a slow cold select, then the queue slot fills. *)
+      Serve.Service.submit_async service
+        (Wire.Select { pool = "big"; budget = 40.; prior = Wire.default_prior; seed = 1 })
+        ~k:ignore;
+      while stat_of service "queue_len" > 0. do
+        Thread.yield ()
+      done;
+      Serve.Service.submit_async service (cold 1) ~k:ignore;
+      expect_overload "before the warm reads" 1001;
+      List.iter2
+        (fun (name, request) queued ->
+          check_response (name ^ " under overload = queued reply") queued (submit request))
+        warm_reads queued;
+      expect_overload "after the warm reads" 1002)
+
+(* [submit_async] runs a warm read's continuation on the calling thread
+   before it returns, and a miss's on an executor domain. *)
+let continuation_thread_test () =
+  with_service (fun service ->
+      prime_warm_pool service;
+      let caller = Thread.id (Thread.self ()) in
+      List.iter
+        (fun (name, request) ->
+          let first, _ = submit_await service request with_thread_id () in
+          let ran = ref None in
+          Serve.Service.submit_async service request ~k:(fun reply ->
+              ran := Some (reply, Thread.id (Thread.self ())));
+          match !ran with
+          | None -> Alcotest.failf "warm %s: continuation had not run on return" name
+          | Some (reply, on) ->
+              Alcotest.(check int) ("warm " ^ name ^ " runs on the caller") caller on;
+              check_response ("warm " ^ name ^ " bytes") first reply)
+        warm_reads;
+      let _, on =
+        submit_await service
+          (Wire.Select { pool = warm_pool; budget = 9.; prior = Wire.default_prior; seed = 77 })
+          with_thread_id ()
+      in
+      Alcotest.(check bool) "a miss runs on an executor" true (on <> caller))
+
+let inline_read_tests =
+  [
+    Alcotest.test_case "warm reads answered under overload" `Quick
+      saturated_warm_reads_test;
+    Alcotest.test_case "continuation runs on the caller for warm reads" `Quick
+      continuation_thread_test;
+  ]
 
 let memo_tests =
   [
@@ -2546,8 +2700,99 @@ let stats_schema_test () =
         undocumented;
       Alcotest.(check (list string)) "documented keys never emitted" [] missing)
 
+(* A fixed conversation of queued requests, replayed through fresh
+   one-domain services.  Its last reply's continuation reads [stats] the
+   moment it receives the reply, and a [stats] request follows at once:
+   both must count every request of the conversation, since each reply is
+   recorded before it is handed over. *)
+let stats_after_reply_test () =
+  let pool = test_pool 8 in
+  let select seed = Wire.Select { pool = "sc"; budget = 4.; prior = Wire.default_prior; seed } in
+  let conversation =
+    [
+      Wire.Pool_put { name = "sc"; workers = wire_workers pool };
+      select 1;
+      Wire.Table { pool = "sc"; budgets = [ 3.; 5. ]; prior = Wire.default_prior; seed = 2 };
+      Wire.Jq { source = Wire.Inline [ 0.7; 0.8; 0.6 ]; prior = Wire.default_prior; num_buckets = 50 };
+      Wire.Jq { source = Wire.Named "sc"; prior = Wire.default_prior; num_buckets = 50 };
+      session_open_request ~pool:"sc" ~task:"t";
+      Wire.Session_vote { pool = "sc"; task = "t"; worker = 0; label = 1 };
+      Wire.Session_decide { pool = "sc"; task = "t"; truth = Some 9 };
+      Wire.Session_close { pool = "sc"; task = "t" };
+      Wire.Session_close { pool = "sc"; task = "t" };
+      Wire.Report { pool = "sc"; votes = [ calib_vote ~truth:1 0 0 1 ] };
+      Wire.Fleet_submit
+        { pool = "sc"; task = "f"; prior = Wire.default_prior; budget = 4.; tier = 0; target = 0. };
+      Wire.Fleet_release { pool = "sc"; task = "f"; decided = false };
+      select 3;
+    ]
+  in
+  let verb = function
+    | Wire.Pool_put _ -> "pool-put"
+    | Wire.Select _ -> "select"
+    | Wire.Table _ -> "table"
+    | Wire.Jq _ -> "jq"
+    | Wire.Session_open _ -> "open"
+    | Wire.Session_vote _ -> "vote"
+    | Wire.Session_decide _ -> "decide"
+    | Wire.Session_close _ -> "close"
+    | Wire.Report _ -> "report"
+    | Wire.Fleet_submit _ -> "fleet-submit"
+    | Wire.Fleet_release _ -> "fleet-release"
+    | r -> Alcotest.failf "unexpected request %s" (Wire.encode_request r)
+  in
+  let verbs = List.sort_uniq compare (List.map verb conversation) in
+  let counted what replies stats =
+    let errors =
+      List.length (List.filter (function Wire.Error _ -> true | _ -> false) replies)
+    in
+    let get key = Option.value ~default:(-1.) (List.assoc_opt key stats) in
+    let check key want = Alcotest.(check (float 0.)) (what ^ ": " ^ key) want (get key) in
+    check "requests" (float_of_int (List.length conversation));
+    check "errors" (float_of_int errors);
+    check "ok" (float_of_int (List.length conversation - errors));
+    List.iter
+      (fun v ->
+        check ("req_" ^ v)
+          (float_of_int (List.length (List.filter (fun r -> verb r = v) conversation))))
+      verbs;
+    Alcotest.(check (list string))
+      (what ^ ": req_ keys")
+      (List.map (fun v -> "req_" ^ v) verbs)
+      (List.filter_map
+         (fun (key, _) -> if String.starts_with ~prefix:"req_" key then Some key else None)
+         stats)
+  in
+  let rec split_last = function
+    | [] -> assert false
+    | [ last ] -> ([], last)
+    | x :: rest ->
+        let init, last = split_last rest in
+        (x :: init, last)
+  in
+  let init, last = split_last conversation in
+  for _ = 1 to 50 do
+    let service = Serve.Service.create ~domains:1 () in
+    Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
+        let replies = List.map (Serve.Service.submit service) init in
+        let reply, at_reply =
+          submit_await service last
+            (fun reply -> (reply, Serve.Service.stats service))
+            ()
+        in
+        let replies = replies @ [ reply ] in
+        counted "stats read by the last continuation" replies at_reply;
+        match Serve.Service.submit service Wire.Stats with
+        | Wire.Stats_result kv -> counted "stats request" replies kv
+        | r -> Alcotest.failf "stats: %s" (Wire.encode_response r))
+  done
+
 let stats_schema_tests =
-  [ Alcotest.test_case "every stats key is documented" `Quick stats_schema_test ]
+  [
+    Alcotest.test_case "every stats key is documented" `Quick stats_schema_test;
+    Alcotest.test_case "stats counts every reply it follows" `Quick
+      stats_after_reply_test;
+  ]
 
 let () =
   Alcotest.run "serve"
@@ -2562,6 +2807,7 @@ let () =
       ("sessions", session_service_tests);
       ("quality plane", quality_plane_tests);
       ("jury memo", memo_tests);
+      ("inline reads", inline_read_tests);
       ("fleet plane", fleet_plane_tests);
       ("stats schema", stats_schema_tests);
       ("pool_io", pool_io_tests);
