@@ -7,10 +7,11 @@
    sharded queues and per-domain metrics must not *lose* throughput to
    contention the way a single global lock does.
 
-   The mix is same-pool jq queries (exercising the batcher and the
-   per-version jq memo) and selects that each carry a key the row has not
-   served (a per-client seed counter), so every select is a full
-   annealing solve and the rows measure executor-bound work.  Selects
+   The mix is same-pool jq queries (exercising the per-version jq memo,
+   whose hits are answered on the submitting thread) and selects that
+   each carry a key the row has not served (a per-client seed counter),
+   so every select is a full annealing solve and the rows measure
+   executor-bound work.  Selects
    over a few repeated keys would be jury-memo hits, light enough that
    clients and handoffs, not executors, bound the rows (docs/perf.md
    records that variant).
@@ -85,8 +86,8 @@ let bench_row ~duration ~workers ~domains =
     while Serve.Clock.now () < t_end do
       let request =
         (* 3:1 jq-to-select on the client's own pool, interleaved
-           deterministically per thread — contiguous same-pool jq
-           queries are the batcher's coalescing case. *)
+           deterministically per thread — repeated same-pool jq queries
+           are answered from the jq memo. *)
         if !sent mod 4 < 3 then
           Wire.Jq
             {
@@ -131,8 +132,7 @@ let bench_row ~duration ~workers ~domains =
       List.iter
         (fun (k, v) ->
           match k with
-          | "batches" | "batched_saved" | "steals" | "jq_memo_hits"
-          | "requests" | "overloads" ->
+          | "steals" | "jq_memo_hits" | "requests" | "overloads" ->
               Printf.eprintf "  %s=%.0f" k v
           | _ -> ())
         kv;

@@ -553,12 +553,6 @@ let serve_cmd =
       & opt (some float) (Some 10.)
       & info [ "log-interval" ] ~doc:"Seconds between stderr metric lines (0 = off).")
   in
-  let batch_max_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch-max" ]
-          ~doc:"Most same-pool jq queries coalesced into one evaluation.")
-  in
   let session_cap_arg =
     Arg.(
       value
@@ -605,8 +599,8 @@ let serve_cmd =
              connection is closed (slow-loris defense; 0 disables).  \
              Connections idling between complete requests are never reaped.")
   in
-  let run port domains queue_cap deadline log_interval batch_max session_cap
-      session_ttl calib_batch calib_window max_conns idle_timeout file =
+  let run port domains queue_cap deadline log_interval session_cap session_ttl
+      calib_batch calib_window max_conns idle_timeout file =
     (* Executor domains size their own minor heaps (Serve.Service); the
        event loop keeps the runtime default, since with warm reads
        answered from memos minor collections are rare and each one
@@ -621,7 +615,7 @@ let serve_cmd =
     in
     let service =
       Serve.Service.create ?domains ~queue_capacity:queue_cap ?deadline
-        ~batch_max ~session_cap ~session_ttl ~calib_config ()
+        ~session_cap ~session_ttl ~calib_config ()
     in
     (match file with
     | Some path ->
@@ -649,9 +643,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the jury-selection TCP daemon.")
     Term.(
       const run $ port_arg ~default:7071 $ domains_arg $ queue_arg $ deadline_arg
-      $ log_arg $ batch_max_arg $ session_cap_arg $ session_ttl_arg
-      $ calib_batch_arg $ calib_window_arg $ max_conns_arg $ idle_timeout_arg
-      $ file_arg)
+      $ log_arg $ session_cap_arg $ session_ttl_arg $ calib_batch_arg
+      $ calib_window_arg $ max_conns_arg $ idle_timeout_arg $ file_arg)
 
 (* ---- loadgen ------------------------------------------------------- *)
 

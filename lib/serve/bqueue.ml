@@ -39,6 +39,7 @@ let push t x =
         Pushed t.len
       end)
 
+(* Caller holds the lock and has checked [t.len > 0]. *)
 let take_front t =
   match t.buf.(t.head) with
   | None -> assert false
@@ -48,27 +49,12 @@ let take_front t =
       t.len <- t.len - 1;
       x
 
-(* Caller holds the lock and has checked [t.len > 0]. *)
-let drain_run t ~max ~compatible =
-  let first = take_front t in
-  let batch = ref [ first ] in
-  let count = ref 1 in
-  let continue = ref true in
-  while !continue && t.len > 0 && !count < max do
-    match t.buf.(t.head) with
-    | Some next when compatible first next ->
-        batch := take_front t :: !batch;
-        incr count
-    | _ -> continue := false
-  done;
-  List.rev !batch
-
-let pop_batch t ~max ~compatible =
+let pop t =
   with_lock t (fun () ->
       (* Queued work first, then invitations, then shutdown: the shard is
          always drained before its owner exits. *)
       let rec wait () =
-        if t.len > 0 then `Batch (drain_run t ~max ~compatible)
+        if t.len > 0 then `Item (take_front t)
         else if t.invites > 0 then begin
           t.invites <- 0;
           `Invited
@@ -81,13 +67,13 @@ let pop_batch t ~max ~compatible =
       in
       wait ())
 
-let steal t ~max ~compatible =
+let steal t =
   with_lock t (fun () ->
       (* A lone queued item is the owner's next pop; stealing it buys
          nothing and moves the work to a colder executor.  Only a real
          backlog (or a closed queue being drained) is worth taking. *)
-      if t.len = 0 || (t.len < 2 && not t.closed) then []
-      else drain_run t ~max ~compatible)
+      if t.len = 0 || (t.len < 2 && not t.closed) then None
+      else Some (take_front t))
 
 let invite t =
   with_lock t (fun () ->

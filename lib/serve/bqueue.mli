@@ -1,18 +1,13 @@
 (** Bounded single-owner work queue — one shard of the serve data plane.
 
     Each executor domain owns exactly one shard: the owner blocks in
-    {!pop_batch} on the shard's private mutex/condvar, so two executors
-    never contend on the same lock in steady state (the failure mode that
-    made the pre-sharding single global queue scale negatively).  Other
-    actors touch a foreign shard only briefly: producers {!push} into it,
-    idle executors {!steal} a run from its front, and a producer that
-    observes backlog {!invite}s a neighbouring shard's owner to come
-    stealing.
-
-    Batching is preserved per shard: both {!pop_batch} and {!steal} drain
-    a FIFO run of [compatible] items from the front in one critical
-    section, which is how same-pool [jq] queries keep coalescing into one
-    cache-warm evaluation after sharding. *)
+    {!pop} on the shard's private mutex/condvar, so two executors never
+    contend on the same lock in steady state (the failure mode that made
+    the pre-sharding single global queue scale negatively).  Other actors
+    touch a foreign shard only briefly: producers {!push} into it, idle
+    executors {!steal} its front item, and a producer that observes
+    backlog {!invite}s a neighbouring shard's owner to come stealing.
+    Items leave in FIFO order, one per {!pop} or {!steal}. *)
 
 type 'a t
 
@@ -27,27 +22,23 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> push_result
 (** Enqueue without blocking and wake the owner if it sleeps. *)
 
-val pop_batch :
-  'a t ->
-  max:int ->
-  compatible:('a -> 'a -> bool) ->
-  [ `Batch of 'a list | `Invited | `Closed ]
+val pop : 'a t -> [ `Item of 'a | `Invited | `Closed ]
 (** Owner-only.  Block until something happens on this shard:
-    [`Batch items] — the front item plus up to [max - 1] immediately
-    following [compatible] items (FIFO order, stopping at the first
-    incompatible one); [`Invited] — a producer signalled backlog on some
-    other shard, go try {!steal}ing (the invitation counter is consumed);
-    [`Closed] — the shard is closed {i and} drained, the owner may exit. *)
+    [`Item x] — the front item; [`Invited] — a producer signalled backlog
+    on some other shard, go try {!steal}ing (the invitation counter is
+    consumed); [`Closed] — the shard is closed {i and} drained, the owner
+    may exit. *)
 
-val steal : 'a t -> max:int -> compatible:('a -> 'a -> bool) -> 'a list
-(** Thief-side, never blocks: take a front run exactly like {!pop_batch}
-    would, or [[]] when the shard is empty.  Items already queued remain
-    stealable after {!close} (they still must be answered). *)
+val steal : 'a t -> 'a option
+(** Thief-side, never blocks: take the front item, or [None] when the
+    shard is empty or holds a lone item (the owner's next {!pop}) while
+    open.  Items already queued remain stealable after {!close} (they
+    still must be answered). *)
 
 val invite : 'a t -> unit
 (** Ask the shard's owner to wake up and steal from its neighbours.  The
     invitation is latched in a counter, so it is not lost when the owner
-    is busy: it is consumed at the owner's next idle {!pop_batch}. *)
+    is busy: it is consumed at the owner's next idle {!pop}. *)
 
 val close : 'a t -> unit
 (** Stop accepting pushes and wake the owner.  Items already queued are

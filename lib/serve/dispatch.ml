@@ -36,7 +36,7 @@ let push t ~affinity x =
   | Bqueue.Pushed len ->
       (* Invite only on the edge into a real backlog (len crossing the
          threshold), not on every backlogged push: a shallow queue is
-         the owner's next batch, and a per-push invite storm wakes idle
+         the owner's next few pops, and a per-push invite storm wakes idle
          executors thousands of times a second just to fight the owner
          over single items.  Under sustained overload the owner's pops
          recreate the crossing often enough to keep neighbours fed. *)
@@ -62,8 +62,8 @@ let push t ~affinity x =
       in
       try_spill order
 
-(* Steal a bounded front run from the longest other shard. *)
-let try_steal t ~shard ~max ~compatible =
+(* Steal the front item of the longest other shard. *)
+let try_steal t ~shard =
   let n = Array.length t.shards in
   let victim = ref (-1) and longest = ref 0 in
   for j = 0 to n - 1 do
@@ -75,22 +75,22 @@ let try_steal t ~shard ~max ~compatible =
       end
     end
   done;
-  if !victim < 0 then [] else Bqueue.steal t.shards.(!victim) ~max ~compatible
+  if !victim < 0 then None else Bqueue.steal t.shards.(!victim)
 
-let rec pop_batch t ~shard ~max ~compatible =
-  match Bqueue.pop_batch t.shards.(shard) ~max ~compatible with
-  | `Batch batch -> Some (batch, `Own)
+let rec pop t ~shard =
+  match Bqueue.pop t.shards.(shard) with
+  | `Item x -> Some (x, `Own)
   | `Closed -> None
   | `Invited -> (
-      match try_steal t ~shard ~max ~compatible with
-      | [] -> pop_batch t ~shard ~max ~compatible
-      | batch ->
+      match try_steal t ~shard with
+      | None -> pop t ~shard
+      | Some x ->
           (* Work-conserving thief: re-latch our own invitation so the
              next pop tries to steal again before sleeping.  One steal
-             per wake-up would pay a scheduler round-trip per run;
+             per wake-up would pay a scheduler round-trip per item;
              re-latching drains the backlog in a tight loop and only
              parks once every victim is shallow. *)
           Bqueue.invite t.shards.(shard);
-          Some (batch, `Stolen))
+          Some (x, `Stolen))
 
 let close t = Array.iter Bqueue.close t.shards

@@ -6,8 +6,6 @@ type counter =
   | Errors
   | Overloads
   | Deadlines
-  | Batches
-  | Batched_saved
   | Jq_memo_hits
   | Select_memo_hits
   | Steals
@@ -28,27 +26,25 @@ let[@inline] counter_slot = function
   | Errors -> 2
   | Overloads -> 3
   | Deadlines -> 4
-  | Batches -> 5
-  | Batched_saved -> 6
-  | Jq_memo_hits -> 7
-  | Select_memo_hits -> 8
-  | Steals -> 9
-  | Jq_flat_fallbacks -> 10
-  | Votes_ingested -> 11
-  | Recal_runs -> 12
-  | Fleet_releases -> 13
-  | Cache_hits -> 14
-  | Cache_misses -> 15
-  | Cache_entries -> 16
-  | Cache_evictions -> 17
+  | Jq_memo_hits -> 5
+  | Select_memo_hits -> 6
+  | Steals -> 7
+  | Jq_flat_fallbacks -> 8
+  | Votes_ingested -> 9
+  | Recal_runs -> 10
+  | Fleet_releases -> 11
+  | Cache_hits -> 12
+  | Cache_misses -> 13
+  | Cache_entries -> 14
+  | Cache_evictions -> 15
 
 (* The stats key of each counter, by slot. *)
 let counter_keys =
   [|
-    "requests"; "ok"; "errors"; "overloads"; "deadlines"; "batches";
-    "batched_saved"; "jq_memo_hits"; "select_memo_hits"; "steals";
-    "jq_flat_fallbacks"; "votes_ingested"; "recal_runs"; "fleet_releases";
-    "cache_hits"; "cache_misses"; "cache_entries"; "cache_evictions";
+    "requests"; "ok"; "errors"; "overloads"; "deadlines"; "jq_memo_hits";
+    "select_memo_hits"; "steals"; "jq_flat_fallbacks"; "votes_ingested";
+    "recal_runs"; "fleet_releases"; "cache_hits"; "cache_misses";
+    "cache_entries"; "cache_evictions";
   |]
 
 type timer = Latency | Jq_eval | Session_verb | Ingest | Fleet_assign

@@ -24,8 +24,6 @@ type counter =
   | Errors              (** [errors]; {!record} and {!overload} keep it *)
   | Overloads           (** [overloads]; kept by {!overload} *)
   | Deadlines           (** [deadlines] *)
-  | Batches             (** [batches] *)
-  | Batched_saved       (** [batched_saved] *)
   | Jq_memo_hits        (** [jq_memo_hits] *)
   | Select_memo_hits    (** [select_memo_hits] *)
   | Steals              (** [steals] *)

@@ -31,7 +31,7 @@ module Cell = struct
 end
 
 type job = {
-  request : Wire.request;   (* Data-plane verbs only: jq/select/table/session. *)
+  request : Wire.request;   (* A request [eval] could not answer inline. *)
   submitted : float;        (* Monotonic (Clock.now). *)
   deadline : float;         (* Absolute monotonic; [infinity] when unset. *)
   complete : Wire.response -> unit;
@@ -95,7 +95,6 @@ type t = {
   queue_capacity : int;
   n_domains : int;
   deadline : float option;
-  batch_max : int;
   num_buckets : int;
   inline_rr : int Atomic.t;   (* Spreads affinity-free requests. *)
   session_stores : (Mutex.t * Session.Store.t) array;
@@ -130,16 +129,16 @@ let count t exec counter n = Metrics.add t.metrics ~shard:exec.shard counter n
 let time_since t exec timer t0 =
   Metrics.sample t.metrics ~shard:exec.shard timer (1e9 *. (Clock.now () -. t0))
 
-(* ---- where a read runs ----------------------------------------------- *)
+(* ---- where a request runs -------------------------------------------- *)
 
-(* A read (select, table, pool jq, quality, fleet-status) runs either on
-   an executor, which waits for locks and computes what no memo holds, or
-   on the submitting thread.  There it takes the registry and fleet-store
-   locks only with try_lock, each for one call, and answers only from
-   memos and resident state: a busy lock or anything to compute raises
-   [Needs_executor], and the request is queued instead.  Its memo hits
-   are tallied in [hits] and counted once the read is answered, so a
-   read that falls back is not counted twice. *)
+(* Every request is evaluated at a site: first on the submitting thread,
+   then, if that raises, on an executor, which waits for locks and
+   computes what no memo holds.  On the submitting thread a read takes
+   the registry and fleet-store locks only with try_lock, each for one
+   call, and answers only from memos and resident state: a busy lock or
+   anything to compute raises [Needs_executor], and the request is queued
+   instead.  Its memo hits are tallied in [hits] and counted once the
+   request is answered, so one that falls back is not counted twice. *)
 type caller = { mutable hits : Metrics.counter list }
 type site = Executor of exec | Caller of caller
 
@@ -605,24 +604,10 @@ let eval_session_close t ~pool_name ~task_name =
             (Printf.sprintf "no session %s/%s" pool_name task_name)
       | Some session -> session_reply ~pool_name ~task_name ~closed:true session)
 
-let eval_session t exec request =
+(* Every session verb is timed as one. *)
+let session_verb t exec f =
   let t0 = Clock.now () in
-  let response =
-    match request with
-    | Wire.Session_open { pool; task; prior; budget; confidence; gain_floor; policy }
-      ->
-        eval_session_open t exec ~pool_name:pool ~task_name:task ~prior ~budget
-          ~confidence ~gain_floor ~policy
-    | Wire.Session_vote { pool; task; worker; label } ->
-        eval_session_vote t exec ~pool_name:pool ~task_name:task ~worker ~label
-    | Wire.Session_advise { pool; task; k } ->
-        eval_session_advise t exec ~pool_name:pool ~task_name:task ~k
-    | Wire.Session_decide { pool; task; truth } ->
-        eval_session_decide t exec ~pool_name:pool ~task_name:task ~truth
-    | Wire.Session_close { pool; task } ->
-        eval_session_close t ~pool_name:pool ~task_name:task
-    | _ -> assert false
-  in
+  let response = f exec in
   time_since t exec Metrics.Session_verb t0;
   response
 
@@ -815,108 +800,119 @@ let session_gauges t =
     ("sessions_rejected", f s.rejected);
   ]
 
-(* The reads: verbs that compute nothing when their answer is memoized or
-   resident.  The only other verbs here are never reads. *)
-let eval_read t site request =
+let stats t =
+  let f = float_of_int in
+  List.sort compare
+    (Metrics.snapshot t.metrics
+    @ [
+        ("domains", f t.n_domains);
+        ("queue_len", f (Dispatch.length t.queue));
+        ("queue_capacity", f t.queue_capacity);
+        ("stale_pools", f (Registry.stale_pools t.registry));
+        ("drift_flags", f (Registry.drift_total t.registry));
+      ])
+
+(* Wire decoding already validated the rows (uniform kind and ℓ, entries
+   in range, stochastic matrix rows), so construction can only fail on a
+   request built without the codec. *)
+let eval_pool_put t ~name workers =
+  let mixed () = invalid_arg "pool-put: cannot mix scalar and matrix rows" in
+  match
+    match workers with
+    | Wire.Matrix_row _ :: _ ->
+        Engine.Pool.of_confusions
+          (Array.of_list
+             (List.mapi
+                (fun id -> function
+                  | Wire.Matrix_row (matrix, cost) ->
+                      Workers.Confusion.make ~id ~matrix ~cost ()
+                  | Wire.Scalar _ -> mixed ())
+                workers))
+    | _ ->
+        Engine.Pool.of_workers
+          (Workers.Pool.of_list
+             (List.mapi
+                (fun id -> function
+                  | Wire.Scalar (quality, cost) ->
+                      Workers.Worker.make ~id ~quality ~cost ()
+                  | Wire.Matrix_row _ -> mixed ())
+                workers))
+  with
+  | pool ->
+      let version = Registry.upsert t.registry ~name pool in
+      Wire.Pool_info { name; version; size = Engine.Pool.size pool }
+  | exception Invalid_argument msg -> bad_request msg
+
+(* The one evaluation of every verb, at [site].  An arm that calls
+   [executor site] is always queued; every other verb is answered on the
+   submitting thread whenever its memos and try-locks allow.  The
+   control-plane verbs (ping, stats, pool-list, pool-put) need no
+   executor and take their locks outright. *)
+let eval t site request =
   match request with
+  | Wire.Ping -> Wire.Pong
+  | Wire.Stats -> Wire.Stats_result (stats t)
+  | Wire.Pool_list -> Wire.Pool_entries (Registry.list t.registry)
+  | Wire.Pool_put { name; workers } -> eval_pool_put t ~name workers
   | Wire.Jq { source = Wire.Named name; prior; num_buckets } ->
       eval_jq_pool t site ~name ~prior ~num_buckets
+  | Wire.Jq { source = Wire.Inline qualities; prior; num_buckets } ->
+      eval_jq_inline t (executor site) ~qualities ~prior ~num_buckets
   | Wire.Select { pool; budget; prior; seed } ->
       eval_select t site ~name:pool ~budget ~prior ~seed
   | Wire.Table { pool; budgets; prior; seed } ->
       eval_table t site ~name:pool ~budgets ~prior ~seed
+  | Wire.Session_open { pool; task; prior; budget; confidence; gain_floor; policy }
+    ->
+      session_verb t (executor site) (fun exec ->
+          eval_session_open t exec ~pool_name:pool ~task_name:task ~prior ~budget
+            ~confidence ~gain_floor ~policy)
+  | Wire.Session_vote { pool; task; worker; label } ->
+      session_verb t (executor site) (fun exec ->
+          eval_session_vote t exec ~pool_name:pool ~task_name:task ~worker ~label)
+  | Wire.Session_advise { pool; task; k } ->
+      session_verb t (executor site) (fun exec ->
+          eval_session_advise t exec ~pool_name:pool ~task_name:task ~k)
+  | Wire.Session_decide { pool; task; truth } ->
+      session_verb t (executor site) (fun exec ->
+          eval_session_decide t exec ~pool_name:pool ~task_name:task ~truth)
+  | Wire.Session_close { pool; task } ->
+      session_verb t (executor site) (fun _ ->
+          eval_session_close t ~pool_name:pool ~task_name:task)
+  | Wire.Report { pool; votes } -> eval_report t (executor site) ~name:pool votes
   | Wire.Quality { pool } -> eval_quality t site ~name:pool
+  | Wire.Recal { pool } -> eval_recal t (executor site) ~name:pool
+  | Wire.Fleet_submit { pool; task; prior; budget; tier; target } ->
+      eval_fleet_submit t (executor site) ~pool_name:pool ~task_name:task ~prior
+        ~budget ~tier ~target
   | Wire.Fleet_status { pool; task } ->
       eval_fleet_status t site ~pool_name:pool ~task_name:task
-  | _ -> raise Needs_executor
-
-let eval t exec request =
-  match request with
-  | Wire.Jq { source = Wire.Named _; _ } | Wire.Select _ | Wire.Table _
-  | Wire.Quality _ | Wire.Fleet_status _ ->
-      eval_read t (Executor exec) request
-  | Wire.Jq { source = Wire.Inline qualities; prior; num_buckets } ->
-      eval_jq_inline t exec ~qualities ~prior ~num_buckets
-  | Wire.Session_open _ | Wire.Session_vote _ | Wire.Session_advise _
-  | Wire.Session_decide _ | Wire.Session_close _ ->
-      eval_session t exec request
-  | Wire.Report { pool; votes } -> eval_report t exec ~name:pool votes
-  | Wire.Recal { pool } -> eval_recal t exec ~name:pool
-  | Wire.Fleet_submit { pool; task; prior; budget; tier; target } ->
-      eval_fleet_submit t exec ~pool_name:pool ~task_name:task ~prior ~budget
-        ~tier ~target
   | Wire.Fleet_release { pool; task; decided } ->
-      eval_fleet_release t exec ~pool_name:pool ~task_name:task ~decided
-  | Wire.Ping | Wire.Stats | Wire.Pool_put _ | Wire.Pool_list ->
-      (* Control-plane verbs are answered inline by [submit]. *)
-      assert false
-
-let safe_eval t exec request =
-  try eval t exec request
-  with exn ->
-    Wire.Error { code = Wire.Internal; message = Printexc.to_string exn }
-
-let verb_of = function
-  | Wire.Ping -> "ping"
-  | Wire.Jq _ -> "jq"
-  | Wire.Select _ -> "select"
-  | Wire.Table _ -> "table"
-  | Wire.Pool_put _ -> "pool-put"
-  | Wire.Pool_list -> "pool-list"
-  | Wire.Stats -> "stats"
-  | Wire.Session_open _ -> "open"
-  | Wire.Session_vote _ -> "vote"
-  | Wire.Session_advise _ -> "advise"
-  | Wire.Session_decide _ -> "decide"
-  | Wire.Session_close _ -> "close"
-  | Wire.Report _ -> "report"
-  | Wire.Quality _ -> "quality"
-  | Wire.Recal _ -> "recal"
-  | Wire.Fleet_submit _ -> "fleet-submit"
-  | Wire.Fleet_status _ -> "fleet-status"
-  | Wire.Fleet_release _ -> "fleet-release"
+      eval_fleet_release t (executor site) ~pool_name:pool ~task_name:task
+        ~decided
 
 let response_ok = function Wire.Error _ -> false | _ -> true
 
 (* Count the reply before handing it over, so a [stats] the client sends
    once it has the reply already includes it. *)
-let reply t exec job response =
-  Metrics.record t.metrics ~shard:exec.shard ~verb:(verb_of job.request)
-    ~latency:(Clock.now () -. job.submitted)
-    ~ok:(response_ok response);
-  job.complete response
+let record t ~shard ~start request response =
+  Metrics.record t.metrics ~shard ~verb:(Wire.verb request)
+    ~latency:(Clock.now () -. start)
+    ~ok:(response_ok response)
 
-(* Two queued jobs coalesce when they are jq queries answered by the very
-   same evaluation: same named pool, prior and bucket count. *)
-let batchable a b =
-  match (a.request, b.request) with
-  | ( Wire.Jq { source = Wire.Named p1; prior = a1; num_buckets = b1 },
-      Wire.Jq { source = Wire.Named p2; prior = a2; num_buckets = b2 } ) ->
-      String.equal p1 p2 && a1 = a2 && b1 = b2
-  | _ -> false
-
-let process_batch t exec jobs =
-  let now = Clock.now () in
-  let live, expired =
-    List.partition (fun (job : job) -> now <= job.deadline) jobs
-  in
-  List.iter
-    (fun job ->
+let process t exec (job : job) =
+  let response =
+    if Clock.now () > job.deadline then begin
       count t exec Metrics.Deadlines 1;
-      reply t exec job
-        (Wire.Error { code = Wire.Deadline; message = "expired in queue" }))
-    expired;
-  match live with
-  | [] -> ()
-  | first :: rest ->
-      let response = safe_eval t exec first.request in
-      reply t exec first response;
-      (* Followers are compatible by construction: same evaluation. *)
-      if rest <> [] then begin
-        count t exec Metrics.Batches 1;
-        count t exec Metrics.Batched_saved (List.length rest);
-        List.iter (fun job -> reply t exec job response) rest
-      end
+      Wire.Error { code = Wire.Deadline; message = "expired in queue" }
+    end
+    else
+      try eval t (Executor exec) job.request
+      with exn ->
+        Wire.Error { code = Wire.Internal; message = Printexc.to_string exn }
+  in
+  record t ~shard:exec.shard ~start:job.submitted job.request response;
+  job.complete response
 
 (* Annealing solves allocate heavily, and in a multi-domain runtime
    every minor collection is a stop-the-world handshake across all
@@ -929,14 +925,11 @@ let executor_minor_heap_words = 4 * 1024 * 1024
 let executor_loop t exec =
   Gc.set { (Gc.get ()) with minor_heap_size = executor_minor_heap_words };
   let rec loop () =
-    match
-      Dispatch.pop_batch t.queue ~shard:exec.shard ~max:t.batch_max
-        ~compatible:batchable
-    with
+    match Dispatch.pop t.queue ~shard:exec.shard with
     | None -> ()
-    | Some (jobs, origin) ->
+    | Some (job, origin) ->
         if origin = `Stolen then count t exec Metrics.Steals 1;
-        process_batch t exec jobs;
+        process t exec job;
         loop ()
   in
   loop ()
@@ -944,12 +937,11 @@ let executor_loop t exec =
 (* ---- lifecycle and submission -------------------------------------- *)
 
 let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
-    ?deadline ?(batch_max = 32) ?(num_buckets = Jq.Bucket.default_num_buckets)
+    ?deadline ?(num_buckets = Jq.Bucket.default_num_buckets)
     ?(session_cap = Session.Store.default_cap)
     ?(session_ttl = Session.Store.default_ttl) ?calib_config () =
   if n_domains <= 0 then invalid_arg "Service.create: domains <= 0";
   if queue_capacity <= 0 then invalid_arg "Service.create: queue_capacity <= 0";
-  if batch_max <= 0 then invalid_arg "Service.create: batch_max <= 0";
   if num_buckets <= 0 then invalid_arg "Service.create: num_buckets <= 0";
   (match deadline with
   | Some d when d <= 0. || Float.is_nan d ->
@@ -965,7 +957,6 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
       queue_capacity;
       n_domains;
       deadline;
-      batch_max;
       num_buckets;
       inline_rr = Atomic.make 0;
       session_stores =
@@ -993,63 +984,6 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
         Domain.spawn (fun () -> executor_loop t exec));
   t
 
-let stats t =
-  let f = float_of_int in
-  List.sort compare
-    (Metrics.snapshot t.metrics
-    @ [
-        ("domains", f t.n_domains);
-        ("queue_len", f (Dispatch.length t.queue));
-        ("queue_capacity", f t.queue_capacity);
-        ("stale_pools", f (Registry.stale_pools t.registry));
-        ("drift_flags", f (Registry.drift_total t.registry));
-      ])
-
-let inline_reply t ~start request response =
-  Metrics.record t.metrics
-    ~shard:(Metrics.submitter t.metrics)
-    ~verb:(verb_of request)
-    ~latency:(Clock.now () -. start)
-    ~ok:(response_ok response);
-  response
-
-(* Same-pool requests land on the same shard — preserving batching and
-   that shard's warm caches; requests without a pool spread round-robin
-   (any executor computes the identical reply). *)
-let affinity_of t request =
-  match request with
-  | Wire.Jq { source = Wire.Named name; _ }
-  | Wire.Select { pool = name; _ }
-  | Wire.Table { pool = name; _ }
-  | Wire.Session_open { pool = name; _ }
-  | Wire.Session_vote { pool = name; _ }
-  | Wire.Session_advise { pool = name; _ }
-  | Wire.Session_decide { pool = name; _ }
-  | Wire.Session_close { pool = name; _ }
-  | Wire.Report { pool = name; _ }
-  | Wire.Quality { pool = name; _ }
-  | Wire.Recal { pool = name; _ }
-  | Wire.Fleet_submit { pool = name; _ }
-  | Wire.Fleet_status { pool = name; _ }
-  | Wire.Fleet_release { pool = name; _ } ->
-      Hashtbl.hash name
-  | _ -> Atomic.fetch_and_add t.inline_rr 1
-
-(* Answer a read on the calling thread when it needs no computation and no
-   lock that another thread holds; [None] sends it to the queue.  Its memo
-   hits land on the submitter shard, as its request does. *)
-let read_inline t request =
-  let caller = { hits = [] } in
-  match eval_read t (Caller caller) request with
-  | response ->
-      let shard = Metrics.submitter t.metrics in
-      List.iter (fun counter -> Metrics.add t.metrics ~shard counter 1) caller.hits;
-      Some response
-  | exception _ ->
-      (* [Needs_executor], or a failure the executor will report exactly
-         as the queued path always has. *)
-      None
-
 let enqueue t ~start request ~complete =
   let job =
     {
@@ -1059,12 +993,22 @@ let enqueue t ~start request ~complete =
       complete;
     }
   in
-  match Dispatch.push t.queue ~affinity:(affinity_of t request) job with
+  (* Same-pool requests land on the same shard and its warm state;
+     requests without a pool spread round-robin (any executor computes the
+     identical reply). *)
+  let affinity =
+    match Wire.pool request with
+    | Some name -> Hashtbl.hash name
+    | None -> Atomic.fetch_and_add t.inline_rr 1
+  in
+  match Dispatch.push t.queue ~affinity job with
   | `Ok -> ()
   | `Closed ->
-      complete
-        (inline_reply t ~start request
-           (Wire.Error { code = Wire.Shutdown; message = "service draining" }))
+      let response =
+        Wire.Error { code = Wire.Shutdown; message = "service draining" }
+      in
+      record t ~shard:(Metrics.submitter t.metrics) ~start request response;
+      complete response
   | `Overload ->
       Metrics.overload t.metrics;
       complete
@@ -1074,66 +1018,27 @@ let enqueue t ~start request ~complete =
              message = Printf.sprintf "queue full (%d waiting)" t.queue_capacity;
            })
 
-(* One submission path for both faces: control-plane verbs, and reads
-   that need no computation, are answered inline on the calling thread
-   (and [complete]d immediately); everything else is enqueued with
-   [complete] as its continuation.  [complete] is called exactly once —
-   synchronously for inline replies, admission rejections and drain
-   refusals, from an executor domain otherwise.  Inline reads keep
-   answering while the service drains, as [ping] does. *)
+(* One submission path for both faces: a request is first evaluated on
+   the calling thread, and answered (and [complete]d) there when that
+   needs no executor and no lock another thread holds; otherwise it is
+   enqueued with [complete] as its continuation.  [complete] is called
+   exactly once — synchronously for inline replies, admission rejections
+   and drain refusals, from an executor domain otherwise — and outside
+   the handler, so a raising continuation is never also enqueued.  Inline
+   replies, and the memo hits they tallied, are counted on the submitter
+   shard; they keep answering while the service drains. *)
 let dispatch t request ~complete =
   let start = Clock.now () in
-  match request with
-  | Wire.Ping -> complete (inline_reply t ~start request Wire.Pong)
-  | Wire.Stats ->
-      complete (inline_reply t ~start request (Wire.Stats_result (stats t)))
-  | Wire.Pool_list ->
-      complete
-        (inline_reply t ~start request
-           (Wire.Pool_entries (Registry.list t.registry)))
-  | Wire.Pool_put { name; workers } -> (
-      (* Wire decoding already validated the rows (uniform kind and ℓ,
-         entries in range, stochastic matrix rows), so construction can
-         only fail on a genuinely malformed request. *)
-      match
-        match workers with
-        | Wire.Matrix_row _ :: _ ->
-            Engine.Pool.of_confusions
-              (Array.of_list
-                 (List.mapi
-                    (fun id -> function
-                      | Wire.Matrix_row (matrix, cost) ->
-                          Workers.Confusion.make ~id ~matrix ~cost ()
-                      | Wire.Scalar _ -> assert false)
-                    workers))
-        | _ ->
-            Engine.Pool.of_workers
-              (Workers.Pool.of_list
-                 (List.mapi
-                    (fun id -> function
-                      | Wire.Scalar (quality, cost) ->
-                          Workers.Worker.make ~id ~quality ~cost ()
-                      | Wire.Matrix_row _ -> assert false)
-                    workers))
-      with
-      | pool ->
-          let version = Registry.upsert t.registry ~name pool in
-          complete
-            (inline_reply t ~start request
-               (Wire.Pool_info { name; version; size = Engine.Pool.size pool }))
-      | exception Invalid_argument msg ->
-          complete
-            (inline_reply t ~start request
-               (Wire.Error { code = Wire.Bad_request; message = msg })))
-  | Wire.Jq { source = Wire.Named _; _ } | Wire.Select _ | Wire.Table _
-  | Wire.Quality _ | Wire.Fleet_status _ -> (
-      match read_inline t request with
-      | Some response -> complete (inline_reply t ~start request response)
-      | None -> enqueue t ~start request ~complete)
-  | Wire.Jq { source = Wire.Inline _; _ } | Wire.Session_open _
-  | Wire.Session_vote _ | Wire.Session_advise _ | Wire.Session_decide _
-  | Wire.Session_close _ | Wire.Report _ | Wire.Recal _ | Wire.Fleet_submit _
-  | Wire.Fleet_release _ ->
+  let caller = { hits = [] } in
+  match eval t (Caller caller) request with
+  | response ->
+      let shard = Metrics.submitter t.metrics in
+      List.iter (fun counter -> Metrics.add t.metrics ~shard counter 1) caller.hits;
+      record t ~shard ~start request response;
+      complete response
+  | exception _ ->
+      (* [Needs_executor], or a failure the executor reports as an
+         internal error. *)
       enqueue t ~start request ~complete
 
 let submit t request =

@@ -2,17 +2,19 @@
 
     A service owns a sharded work plane ({!Dispatch}: one bounded shard
     queue per executor {!Domain}, affinity-routed by pool name, with
-    spill and bounded work-stealing) fed by {!submit}.  Control-plane
-    requests (ping, stats, pool upsert/list) are answered inline by the
-    submitting thread — they stay responsive however backed up the
-    compute plane is.  So are reads that need no computation: a [select]
-    or a [table] whose every row is in the jury memo, a pool [jq] in the
-    [jq] memo, [quality], and [fleet-status] once the pool's allocator is
-    at the registry's version.  The submitting thread takes the registry
-    and fleet-store locks only with [try_lock]: a lock held by compute
-    (a calibration step, a fleet solve) sends the read to the queue
-    instead, so it never waits.  Compute requests (a memo miss, inline
-    [jq], the session verbs open/vote/advise/decide/close, and the
+    spill and work-stealing) fed by {!submit}.  Every verb has one
+    evaluation, and a request is answered on the submitting thread when
+    its evaluation needs no executor and no lock another thread holds;
+    otherwise it is queued.  So the control-plane verbs (ping, stats,
+    pool upsert/list) stay responsive however backed up the compute plane
+    is, as do reads that need no computation: a [select] or a [table]
+    whose every row is in the jury memo, a pool [jq] in the [jq] memo,
+    [quality], and [fleet-status] once the pool's allocator is at the
+    registry's version.  A read takes the registry and fleet-store locks
+    only with [try_lock] there, so a lock held by compute (a calibration
+    step, a fleet solve) queues it instead of making it wait; the control
+    verbs take their locks outright.  Compute requests (a memo miss,
+    inline [jq], the session verbs open/vote/advise/decide/close, and the
     quality-plane and fleet writes) are enqueued
     on their pool's shard; when every shard with room is full the reply
     is an immediate [err overload] (admission control — total queue depth
@@ -35,17 +37,13 @@
       same solve a never-seen key gets;
     - a [jq] memo from (pool, version, prior, buckets) to the answer.
 
-    Each executor domain owns its compute state, touched by that domain
-    alone:
-
-    - one reusable {!Jq.Incremental} evaluator per (alpha, buckets), used
-      for a [jq] miss over a binary pool: {!Jq.Incremental.reset} +
-      re-adding the pool reuses the grown key-map arrays.  A matrix-pool
-      [jq] miss runs the ℓ-tuple bucket estimator instead;
-    - batching: consecutive queued [jq] queries naming the same (pool,
-      prior, buckets) are popped together and answered with a single
-      evaluation — same-pool affinity routing keeps such runs on one
-      shard, so sharding does not break coalescing.
+    A queued duplicate of a miss is answered from the memo row its
+    predecessor filled.  Each executor domain owns its compute state,
+    touched by that domain alone: one reusable {!Jq.Incremental}
+    evaluator per (alpha, buckets), used for a [jq] miss over a binary
+    pool ({!Jq.Incremental.reset} + re-adding the pool reuses the grown
+    key-map arrays; a matrix-pool [jq] miss runs the ℓ-tuple bucket
+    estimator instead), and a {!Jq.Workspace}.
 
     Caching is invisible in results: a jury is a deterministic function
     of (pool, version, prior, budget, seed) and the service's fixed
@@ -97,7 +95,6 @@ val create :
   ?domains:int ->
   ?queue_capacity:int ->
   ?deadline:float ->
-  ?batch_max:int ->
   ?num_buckets:int ->
   ?session_cap:int ->
   ?session_ttl:float ->
@@ -106,7 +103,7 @@ val create :
   t
 (** Start the executor domains.  Defaults: [domains] =
     {!recommended_domains}[ ()], [queue_capacity] = 256, no deadline,
-    [batch_max] = 32, [num_buckets] = {!Jq.Bucket.default_num_buckets}
+    [num_buckets] = {!Jq.Bucket.default_num_buckets}
     (the Algorithm-1 resolution used for select/table scoring),
     [session_cap] = {!Session.Store.default_cap} open sessions per shard
     store, [session_ttl] = {!Session.Store.default_ttl} seconds of idle

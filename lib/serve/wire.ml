@@ -268,6 +268,9 @@ let required fields key parse =
 let optional fields key ~default parse =
   match take fields key with None -> Ok default | Some v -> parse key v
 
+(* [parse] for an optional field whose absence means [None]. *)
+let some parse what s = Result.map Option.some (parse what s)
+
 let finish fields value =
   match !fields with
   | [] -> Ok value
@@ -348,10 +351,7 @@ let parse_confidence what s =
 let opt_int_to_string = function None -> "-" | Some i -> string_of_int i
 
 let parse_opt_int what s =
-  if s = "-" then Ok None
-  else
-    let* i = parse_nonneg_int what s in
-    Ok (Some i)
+  if s = "-" then Ok None else some parse_nonneg_int what s
 
 (* [prior=p0,p1,…] names the task's label distribution; [alpha=x] is
    decode-side sugar for the binary [prior=x,1−x] (the two are exclusive).
@@ -381,18 +381,14 @@ let report_vote_to_string (v : Workers.Calib.vote) =
   | Some tr -> Printf.sprintf "%d:%d:%d:%d" v.task v.worker v.label tr
 
 let parse_report_vote what s =
+  let id field = parse_nonneg_int (what ^ " " ^ field) in
   match String.split_on_char ':' s with
-  | [ t; w; l ] ->
-      let* task = parse_nonneg_int (what ^ " task") t in
-      let* worker = parse_nonneg_int (what ^ " worker") w in
-      let* label = parse_nonneg_int (what ^ " label") l in
-      Ok { Workers.Calib.task; worker; label; truth = None }
-  | [ t; w; l; g ] ->
-      let* task = parse_nonneg_int (what ^ " task") t in
-      let* worker = parse_nonneg_int (what ^ " worker") w in
-      let* label = parse_nonneg_int (what ^ " label") l in
-      let* truth = parse_nonneg_int (what ^ " truth") g in
-      Ok { Workers.Calib.task; worker; label; truth = Some truth }
+  | t :: w :: l :: ([] | [ _ ] as rest) ->
+      let* task = id "task" t in
+      let* worker = id "worker" w in
+      let* label = id "label" l in
+      let* truth = match rest with [] -> Ok None | g :: _ -> some id "truth" g in
+      Ok { Workers.Calib.task; worker; label; truth }
   | _ ->
       fail
         (Printf.sprintf "%s: expected task:worker:label[:truth], got %S" what s)
@@ -458,6 +454,44 @@ let encode_request = function
       if decided then
         Printf.sprintf "fleet-release pool=%s task=%s decide=1" pool task
       else Printf.sprintf "fleet-release pool=%s task=%s" pool task
+
+let verb = function
+  | Ping -> "ping"
+  | Jq _ -> "jq"
+  | Select _ -> "select"
+  | Table _ -> "table"
+  | Pool_put _ -> "pool-put"
+  | Pool_list -> "pool-list"
+  | Stats -> "stats"
+  | Session_open _ -> "open"
+  | Session_vote _ -> "vote"
+  | Session_advise _ -> "advise"
+  | Session_decide _ -> "decide"
+  | Session_close _ -> "close"
+  | Report _ -> "report"
+  | Quality _ -> "quality"
+  | Recal _ -> "recal"
+  | Fleet_submit _ -> "fleet-submit"
+  | Fleet_status _ -> "fleet-status"
+  | Fleet_release _ -> "fleet-release"
+
+let pool = function
+  | Jq { source = Named pool; _ }
+  | Select { pool; _ }
+  | Table { pool; _ }
+  | Session_open { pool; _ }
+  | Session_vote { pool; _ }
+  | Session_advise { pool; _ }
+  | Session_decide { pool; _ }
+  | Session_close { pool; _ }
+  | Report { pool; _ }
+  | Quality { pool }
+  | Recal { pool }
+  | Fleet_submit { pool; _ }
+  | Fleet_status { pool; _ }
+  | Fleet_release { pool; _ } ->
+      Some pool
+  | Ping | Jq { source = Inline _; _ } | Pool_put _ | Pool_list | Stats -> None
 
 let split_line line =
   (* Tolerate a trailing CR (telnet) and repeated spaces. *)
@@ -564,13 +598,7 @@ let decode_session_advise fields =
 let decode_session_decide fields =
   let* pool = required fields "pool" parse_pool_name in
   let* task = required fields "task" parse_task_name in
-  let* truth =
-    match take fields "truth" with
-    | None -> Ok None
-    | Some s ->
-        let* tr = parse_nonneg_int "truth" s in
-        Ok (Some tr)
-  in
+  let* truth = optional fields "truth" ~default:None (some parse_nonneg_int) in
   finish fields (Session_decide { pool; task; truth })
 
 let decode_report fields =
@@ -602,13 +630,7 @@ let decode_fleet_submit fields =
 
 let decode_fleet_status fields =
   let* pool = required fields "pool" parse_pool_name in
-  let* task =
-    match take fields "task" with
-    | None -> Ok None
-    | Some s ->
-        let* name = parse_task_name "task" s in
-        Ok (Some name)
-  in
+  let* task = optional fields "task" ~default:None (some parse_task_name) in
   finish fields (Fleet_status { pool; task })
 
 let decode_fleet_release fields =
@@ -845,13 +867,7 @@ let decode_ok_response kind fields =
       let* next = required fields "next" parse_opt_int in
       let* advice = required fields "advice" parse_ids in
       let* decision = required fields "decision" parse_opt_int in
-      let* certified =
-        required fields "certified" (fun what s ->
-            match s with
-            | "0" -> Ok false
-            | "1" -> Ok true
-            | _ -> fail (Printf.sprintf "%s: expected 0 or 1" what))
-      in
+      let* certified = required fields "certified" parse_flag in
       let* reason =
         required fields "reason" (fun what s ->
             if s = "-" then Ok None
@@ -881,13 +897,7 @@ let decode_ok_response kind fields =
       let* applied = required fields "applied" parse_nonneg_int in
       let* pending = required fields "pending" parse_nonneg_int in
       let* drifted = required fields "drifted" parse_ids in
-      let* stale =
-        required fields "stale" (fun what s ->
-            match s with
-            | "0" -> Ok false
-            | "1" -> Ok true
-            | _ -> fail (Printf.sprintf "%s: expected 0 or 1" what))
-      in
+      let* stale = required fields "stale" parse_flag in
       let* recals = required fields "recals" parse_nonneg_int in
       finish fields
         (Report_result { name; version; applied; pending; drifted; stale; recals })

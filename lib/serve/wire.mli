@@ -223,6 +223,14 @@ val error_code_to_string : error_code -> string
 val encode_request : request -> string
 (** One line, without the trailing newline. *)
 
+val verb : request -> string
+(** The verb token the request's line starts with, e.g. ["fleet-status"]:
+    the [<verb>] of the [req_<verb>] stats keys. *)
+
+val pool : request -> string option
+(** The request's [pool=] value — what the service routes it by — or
+    [None] for ping, stats, pool-list, pool-put and inline [jq]. *)
+
 val default_prior : float list
 (** [[0.5; 0.5]] — the binary uniform prior assumed when a request names
     neither [prior=] nor [alpha=]. *)

@@ -252,6 +252,18 @@ let codec_props =
     qtest "response round-trips" ~print:Wire.encode_response response_gen
       (fun response ->
         Wire.decode_response (Wire.encode_response response) = Ok response);
+    qtest "verb and pool match the grammar" ~print:Wire.encode_request request_gen
+      (fun request ->
+        let tokens = String.split_on_char ' ' (Wire.encode_request request) in
+        let pool =
+          List.find_map
+            (fun token ->
+              if String.starts_with ~prefix:"pool=" token then
+                Some (String.sub token 5 (String.length token - 5))
+              else None)
+            tokens
+        in
+        List.hd tokens = Wire.verb request && pool = Wire.pool request);
     qtest ~count:500 "decode_request never raises" QCheck2.Gen.string (fun s ->
         match Wire.decode_request s with Ok _ | Error _ -> true);
     qtest ~count:500 "decode_response never raises" QCheck2.Gen.string (fun s ->
@@ -394,109 +406,62 @@ let registry_tests =
 
 (* ---- shard queue and dispatcher --------------------------------------- *)
 
-let jq_alike a b = match (a, b) with `Jq _, `Jq _ -> true | _ -> false
-
 let bqueue_tests =
   [
-    Alcotest.test_case "admission control and FIFO batching" `Quick (fun () ->
+    Alcotest.test_case "admission control and FIFO order" `Quick (fun () ->
         let q = Serve.Bqueue.create ~capacity:3 in
         let pushed x =
           match Serve.Bqueue.push q x with
           | Serve.Bqueue.Pushed _ -> true
           | Serve.Bqueue.Full | Serve.Bqueue.Closed -> false
         in
-        Alcotest.(check bool) "push 1" true (pushed (`Jq 1));
-        Alcotest.(check bool) "push 2" true (pushed (`Jq 2));
-        Alcotest.(check bool) "push 3" true (pushed (`Sel 3));
-        Alcotest.(check bool) "full" false (pushed (`Jq 4));
+        Alcotest.(check bool) "push 1" true (pushed 1);
+        Alcotest.(check bool) "push 2" true (pushed 2);
+        Alcotest.(check bool) "push 3" true (pushed 3);
+        Alcotest.(check bool) "full" false (pushed 4);
         Alcotest.(check bool)
           "full is Full" true
-          (Serve.Bqueue.push q (`Jq 4) = Serve.Bqueue.Full);
+          (Serve.Bqueue.push q 4 = Serve.Bqueue.Full);
         Alcotest.(check int) "length" 3 (Serve.Bqueue.length q);
-        (* The two jq items coalesce; draining stops at the `Sel. *)
-        (match Serve.Bqueue.pop_batch q ~max:8 ~compatible:jq_alike with
-        | `Batch batch -> Alcotest.(check int) "batch size" 2 (List.length batch)
-        | `Invited | `Closed -> Alcotest.fail "expected a batch");
+        let pop () =
+          match Serve.Bqueue.pop q with
+          | `Item x -> x
+          | `Invited | `Closed -> Alcotest.fail "expected an item"
+        in
+        Alcotest.(check int) "first in, first out" 1 (pop ());
         Serve.Bqueue.close q;
         Alcotest.(check bool)
           "closed refuses" true
-          (Serve.Bqueue.push q (`Jq 5) = Serve.Bqueue.Closed);
-        (match Serve.Bqueue.pop_batch q ~max:8 ~compatible:jq_alike with
-        | `Batch [ `Sel 3 ] -> ()
-        | `Batch _ -> Alcotest.fail "wrong drain"
-        | `Invited | `Closed -> Alcotest.fail "queued item lost on close");
-        (match Serve.Bqueue.pop_batch q ~max:8 ~compatible:jq_alike with
-        | `Closed -> ()
-        | `Batch _ | `Invited -> Alcotest.fail "expected `Closed after drain"));
+          (Serve.Bqueue.push q 5 = Serve.Bqueue.Closed);
+        Alcotest.(check (list int)) "queued items drain after close" [ 2; 3 ]
+          (let a = pop () in
+           [ a; pop () ]);
+        Alcotest.(check bool) "`Closed after drain" true (Serve.Bqueue.pop q = `Closed));
     Alcotest.test_case "invitations latch and are consumed" `Quick (fun () ->
         let q = Serve.Bqueue.create ~capacity:2 in
         Serve.Bqueue.invite q;
         (* An invite queued while the owner was busy is seen at the next
            idle pop, then consumed. *)
-        (match Serve.Bqueue.pop_batch q ~max:4 ~compatible:jq_alike with
-        | `Invited -> ()
-        | `Batch _ | `Closed -> Alcotest.fail "expected `Invited");
-        ignore (Serve.Bqueue.push q (`Jq 1));
+        Alcotest.(check bool) "latched invite" true (Serve.Bqueue.pop q = `Invited);
+        ignore (Serve.Bqueue.push q 1);
         (* Queued work takes priority over a pending invitation... *)
         Serve.Bqueue.invite q;
-        (match Serve.Bqueue.pop_batch q ~max:4 ~compatible:jq_alike with
-        | `Batch [ `Jq 1 ] -> ()
-        | _ -> Alcotest.fail "expected the queued item first");
+        Alcotest.(check bool) "queued item first" true (Serve.Bqueue.pop q = `Item 1);
         (* ... and the latched invitation is still there afterwards. *)
-        (match Serve.Bqueue.pop_batch q ~max:4 ~compatible:jq_alike with
-        | `Invited -> ()
-        | `Batch _ | `Closed -> Alcotest.fail "invitation was lost");
+        Alcotest.(check bool) "invitation kept" true (Serve.Bqueue.pop q = `Invited);
         Serve.Bqueue.close q);
-    Alcotest.test_case "steal takes a bounded front run" `Quick (fun () ->
+    Alcotest.test_case "steal takes the front, never a lone item" `Quick (fun () ->
         let q = Serve.Bqueue.create ~capacity:8 in
-        List.iter
-          (fun x -> ignore (Serve.Bqueue.push q x))
-          [ `Jq 1; `Jq 2; `Jq 3; `Sel 4; `Jq 5 ];
-        Alcotest.(check int)
-          "bounded" 2
-          (List.length (Serve.Bqueue.steal q ~max:2 ~compatible:jq_alike));
-        (match Serve.Bqueue.steal q ~max:8 ~compatible:jq_alike with
-        | [ `Jq 3 ] -> ()  (* run stops at the incompatible `Sel *)
-        | _ -> Alcotest.fail "steal should stop at the first incompatible");
+        Alcotest.(check (option int)) "empty" None (Serve.Bqueue.steal q);
+        List.iter (fun x -> ignore (Serve.Bqueue.push q x)) [ 1; 2; 3 ];
+        Alcotest.(check (option int)) "front item" (Some 1) (Serve.Bqueue.steal q);
+        Alcotest.(check (option int)) "next front item" (Some 2) (Serve.Bqueue.steal q);
+        (* The last item is its owner's next pop. *)
+        Alcotest.(check (option int)) "lone item left" None (Serve.Bqueue.steal q);
         Serve.Bqueue.close q;
-        Alcotest.(check int)
-          "stealable after close" 2
-          (List.length
-             (Serve.Bqueue.steal q ~max:8 ~compatible:(fun _ _ -> true))));
+        Alcotest.(check (option int)) "stealable after close" (Some 3) (Serve.Bqueue.steal q);
+        Alcotest.(check (option int)) "drained" None (Serve.Bqueue.steal q));
   ]
-
-(* The regression the old global queue pinned and the sharded dispatcher
-   must preserve: same-pool jobs enqueued contiguously still coalesce
-   into one batch, and an odd-pool job at the head only delays — never
-   permanently defeats — the batch behind it. *)
-let dispatch_batching_test () =
-  let d = Serve.Dispatch.create ~shards:2 ~capacity:16 in
-  (* One affinity value: everything lands on the same shard, like
-     same-pool traffic does. *)
-  let aff = 7 in
-  List.iter
-    (fun x -> ignore (Serve.Dispatch.push d ~affinity:aff x))
-    [ `Sel 0; `Jq 1; `Jq 2; `Jq 3; `Sel 4; `Jq 5; `Jq 6 ];
-  let shard = abs (aff mod 2) in
-  let pop () =
-    match Serve.Dispatch.pop_batch d ~shard ~max:8 ~compatible:jq_alike with
-    | Some (batch, _) -> batch
-    | None -> Alcotest.fail "unexpected close"
-  in
-  Alcotest.(check int) "head sel alone" 1 (List.length (pop ()));
-  (match pop () with
-  | [ `Jq 1; `Jq 2; `Jq 3 ] -> ()
-  | batch ->
-      Alcotest.failf "contiguous jq run did not batch (got %d items)"
-        (List.length batch));
-  Alcotest.(check int) "next sel alone" 1 (List.length (pop ()));
-  (match pop () with
-  | [ `Jq 5; `Jq 6 ] -> ()
-  | _ -> Alcotest.fail "trailing jq run did not batch");
-  Serve.Dispatch.close d;
-  Alcotest.(check bool)
-    "drained" true
-    (Serve.Dispatch.pop_batch d ~shard ~max:8 ~compatible:jq_alike = None)
 
 (* Single-threaded close-drains check including the steal path: items
    stuck on a neighbour's shard are still handed out after close. *)
@@ -514,11 +479,9 @@ let dispatch_close_drains_test () =
   let drained = ref 0 in
   for shard = 0 to 2 do
     let rec drain () =
-      match
-        Serve.Dispatch.pop_batch d ~shard ~max:4 ~compatible:(fun _ _ -> false)
-      with
-      | Some (batch, _) ->
-          drained := !drained + List.length batch;
+      match Serve.Dispatch.pop d ~shard with
+      | Some _ ->
+          incr drained;
           drain ()
       | None -> ()
     in
@@ -542,7 +505,6 @@ let dispatch_qcheck =
     gen
     (fun (shards, n_items, skew) ->
       let d = Serve.Dispatch.create ~shards ~capacity:8 in
-      let compatible a b = a mod 3 = b mod 3 in
       let accepted = Array.make 4 [] in
       let producer p =
         for i = 0 to n_items - 1 do
@@ -563,9 +525,9 @@ let dispatch_qcheck =
       let consumed = Array.make shards [] in
       let owner shard =
         let rec loop () =
-          match Serve.Dispatch.pop_batch d ~shard ~max:4 ~compatible with
-          | Some (batch, _) ->
-              consumed.(shard) <- List.rev_append batch consumed.(shard);
+          match Serve.Dispatch.pop d ~shard with
+          | Some (item, _) ->
+              consumed.(shard) <- item :: consumed.(shard);
               loop ()
           | None -> ()
         in
@@ -582,8 +544,6 @@ let dispatch_qcheck =
 
 let dispatch_tests =
   [
-    Alcotest.test_case "contiguous same-pool jobs still batch" `Quick
-      dispatch_batching_test;
     Alcotest.test_case "close drains all shards (steal path)" `Quick
       dispatch_close_drains_test;
     dispatch_qcheck;
@@ -599,8 +559,7 @@ let metrics_counters =
   Serve.Metrics.
     [
       (Requests, "requests"); (Ok_replies, "ok"); (Errors, "errors");
-      (Overloads, "overloads"); (Deadlines, "deadlines"); (Batches, "batches");
-      (Batched_saved, "batched_saved"); (Jq_memo_hits, "jq_memo_hits");
+      (Overloads, "overloads"); (Deadlines, "deadlines"); (Jq_memo_hits, "jq_memo_hits");
       (Select_memo_hits, "select_memo_hits"); (Steals, "steals");
       (Jq_flat_fallbacks, "jq_flat_fallbacks");
       (Votes_ingested, "votes_ingested"); (Recal_runs, "recal_runs");
@@ -1850,6 +1809,16 @@ let rec queued_reply service request =
           (Wire.encode_request request);
       reply
 
+(* Start a slow cold select on [service]'s pool "big" and wait until the
+   executor has taken it off the queue. *)
+let occupy_executor service =
+  Serve.Service.submit_async service
+    (Wire.Select { pool = "big"; budget = 40.; prior = Wire.default_prior; seed = 1 })
+    ~k:ignore;
+  while stat_of service "queue_len" > 0. do
+    Thread.yield ()
+  done
+
 (* With its one executor busy on a slow cold select and its one queue slot
    taken, a service still answers every warm read, byte-equal to the
    reply the same request got through the queue, while a request that
@@ -1870,12 +1839,7 @@ let saturated_warm_reads_test () =
         | r -> Alcotest.failf "%s: a cold select got %s" what (Wire.encode_response r)
       in
       (* The executor takes a slow cold select, then the queue slot fills. *)
-      Serve.Service.submit_async service
-        (Wire.Select { pool = "big"; budget = 40.; prior = Wire.default_prior; seed = 1 })
-        ~k:ignore;
-      while stat_of service "queue_len" > 0. do
-        Thread.yield ()
-      done;
+      occupy_executor service;
       Serve.Service.submit_async service (cold 1) ~k:ignore;
       expect_overload "before the warm reads" 1001;
       List.iter2
@@ -1883,6 +1847,69 @@ let saturated_warm_reads_test () =
           check_response (name ^ " under overload = queued reply") queued (submit request))
         warm_reads queued;
       expect_overload "after the warm reads" 1002)
+
+(* The plane of every verb family.  With the one executor busy and the
+   one queue slot taken, a request answered on the submitting thread
+   still gets its reply, and one that must be queued gets [err overload]. *)
+let plane_table_test () =
+  let service = Serve.Service.create ~domains:1 ~queue_capacity:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
+      let submit = Serve.Service.submit service in
+      put_pool service "big" (test_pool 120);
+      prime_warm_pool service;
+      List.iter (fun (_, request) -> ignore (submit request)) warm_reads;
+      let session = "s" in
+      ignore (submit (session_open_request ~pool:warm_pool ~task:session));
+      occupy_executor service;
+      let cold seed =
+        Wire.Select { pool = warm_pool; budget = 9.; prior = Wire.default_prior; seed }
+      in
+      Serve.Service.submit_async service (cold 1) ~k:ignore;
+      let inline =
+        [
+          ("ping", Wire.Ping);
+          ("stats", Wire.Stats);
+          ("pool-list", Wire.Pool_list);
+          ("pool-put", Wire.Pool_put { name = "other"; workers = wire_workers (test_pool 4) });
+        ]
+        @ warm_reads
+      and queued =
+        [
+          ("open", session_open_request ~pool:warm_pool ~task:"t2");
+          ("vote", Wire.Session_vote { pool = warm_pool; task = session; worker = 0; label = 1 });
+          ("advise", Wire.Session_advise { pool = warm_pool; task = session; k = 2 });
+          ("decide", Wire.Session_decide { pool = warm_pool; task = session; truth = None });
+          ("close", Wire.Session_close { pool = warm_pool; task = session });
+          ("report", Wire.Report { pool = warm_pool; votes = [ calib_vote 0 0 1 ] });
+          ("recal", Wire.Recal { pool = warm_pool });
+          ( "fleet-submit",
+            Wire.Fleet_submit
+              { pool = warm_pool; task = "g"; prior = Wire.default_prior; budget = 4.; tier = 0;
+                target = 0. } );
+          ("fleet-release", Wire.Fleet_release { pool = warm_pool; task = "f"; decided = false });
+          ( "inline jq",
+            Wire.Jq { source = Wire.Inline [ 0.7; 0.8 ]; prior = Wire.default_prior; num_buckets = 50 } );
+          ("cold select", cold 2);
+          ( "cold table",
+            Wire.Table
+              { pool = warm_pool; budgets = [ 6.; 7. ]; prior = Wire.default_prior; seed = 5 } );
+          ( "cold pool jq",
+            Wire.Jq { source = Wire.Named warm_pool; prior = Wire.default_prior; num_buckets = 51 } );
+        ]
+      in
+      List.iter
+        (fun (name, request) ->
+          match submit request with
+          | Wire.Error _ as r ->
+              Alcotest.failf "%s should be answered inline, got %s" name (Wire.encode_response r)
+          | _ -> ())
+        inline;
+      List.iter
+        (fun (name, request) ->
+          match submit request with
+          | Wire.Error { code = Wire.Overload; _ } -> ()
+          | r -> Alcotest.failf "%s should be queued, got %s" name (Wire.encode_response r))
+        queued)
 
 (* [submit_async] runs a warm read's continuation on the calling thread
    before it returns, and a miss's on an executor domain. *)
@@ -1909,10 +1936,46 @@ let continuation_thread_test () =
       in
       Alcotest.(check bool) "a miss runs on an executor" true (on <> caller))
 
+(* Two identical cold pool jq requests queued behind a slow select: the
+   first is evaluated, the second answered from the memo it filled, and
+   the replies are byte-equal. *)
+let queued_duplicate_test () =
+  with_service (fun service ->
+      put_pool service "big" (test_pool 120);
+      put_pool service "dup" (test_pool 9);
+      let stat key = stat_of service key in
+      let jq = Wire.Jq { source = Wire.Named "dup"; prior = Wire.default_prior; num_buckets = 50 } in
+      occupy_executor service;
+      let evals0 = stat "jq_evals" and hits0 = stat "jq_memo_hits" in
+      let first = submit_await service jq Fun.id and second = submit_await service jq Fun.id in
+      check_response "duplicate reply" (first ()) (second ());
+      Alcotest.(check (float 0.)) "one evaluation" 1. (stat "jq_evals" -. evals0);
+      Alcotest.(check (float 0.)) "one memo hit" 1. (stat "jq_memo_hits" -. hits0))
+
+(* A continuation that raises on the submitting thread runs once: its
+   exception reaches the caller, and the request is not also queued. *)
+let raising_continuation_test () =
+  with_service (fun service ->
+      let calls = Atomic.make 0 in
+      (match
+         Serve.Service.submit_async service Wire.Ping ~k:(fun _ ->
+             if Atomic.fetch_and_add calls 1 = 0 then failwith "continuation")
+       with
+      | () -> Alcotest.fail "the continuation's exception was swallowed"
+      | exception Failure _ -> ());
+      (* A queued request is answered after any job queued before it. *)
+      ignore
+        (Serve.Service.submit service
+           (Wire.Jq { source = Wire.Inline [ 0.7 ]; prior = Wire.default_prior; num_buckets = 50 }));
+      Alcotest.(check int) "continuation calls" 1 (Atomic.get calls))
+
 let inline_read_tests =
   [
     Alcotest.test_case "warm reads answered under overload" `Quick
       saturated_warm_reads_test;
+    Alcotest.test_case "every verb on its plane under overload" `Quick plane_table_test;
+    Alcotest.test_case "a raising continuation runs once" `Quick
+      raising_continuation_test;
     Alcotest.test_case "continuation runs on the caller for warm reads" `Quick
       continuation_thread_test;
   ]
@@ -1925,6 +1988,8 @@ let memo_tests =
       memo_version_test;
     Alcotest.test_case "overflow keeps replies byte-identical" `Quick
       memo_overflow_test;
+    Alcotest.test_case "queued duplicate jq answered from the memo" `Quick
+      queued_duplicate_test;
   ]
 
 let quality_plane_tests =
@@ -2727,21 +2792,7 @@ let stats_after_reply_test () =
       select 3;
     ]
   in
-  let verb = function
-    | Wire.Pool_put _ -> "pool-put"
-    | Wire.Select _ -> "select"
-    | Wire.Table _ -> "table"
-    | Wire.Jq _ -> "jq"
-    | Wire.Session_open _ -> "open"
-    | Wire.Session_vote _ -> "vote"
-    | Wire.Session_decide _ -> "decide"
-    | Wire.Session_close _ -> "close"
-    | Wire.Report _ -> "report"
-    | Wire.Fleet_submit _ -> "fleet-submit"
-    | Wire.Fleet_release _ -> "fleet-release"
-    | r -> Alcotest.failf "unexpected request %s" (Wire.encode_request r)
-  in
-  let verbs = List.sort_uniq compare (List.map verb conversation) in
+  let verbs = List.sort_uniq compare (List.map Wire.verb conversation) in
   let counted what replies stats =
     let errors =
       List.length (List.filter (function Wire.Error _ -> true | _ -> false) replies)
@@ -2754,7 +2805,7 @@ let stats_after_reply_test () =
     List.iter
       (fun v ->
         check ("req_" ^ v)
-          (float_of_int (List.length (List.filter (fun r -> verb r = v) conversation))))
+          (float_of_int (List.length (List.filter (fun r -> Wire.verb r = v) conversation))))
       verbs;
     Alcotest.(check (list string))
       (what ^ ": req_ keys")
