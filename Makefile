@@ -1,6 +1,6 @@
 .PHONY: all build test test-slow bench bench-smoke bench-jq \
   bench-multiclass bench-serve bench-session bench-quality bench-fleet \
-  serve-smoke clean
+  bench-pairs serve-smoke clean
 
 all: build
 
@@ -99,6 +99,12 @@ bench-quality: build
 # bench-smoke.
 bench-fleet: build
 	dune exec bench/fleet_bench.exe -- --gate
+
+# Paired daemon benchmark runs of a parent revision against the working
+# tree (bench/pairs.sh, which holds the defaults): pass its options in
+# ARGS, e.g. make bench-pairs ARGS="--parent HEAD~1 --seed 5003".
+bench-pairs:
+	sh bench/pairs.sh $(ARGS)
 
 # End-to-end daemon smoke: boot `optjs_cli serve`, run the closed-loop
 # load generator against it — once with the default scalar pool, once

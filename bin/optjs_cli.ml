@@ -310,11 +310,15 @@ let table_cmd =
         in
         Format.printf "%a" Jsp.Table.pp table
     | Engine.Pool.Matrix _ ->
+        (* A matrix pool is scored from scratch, so its rows share one
+           score table: a row reads the exact scores earlier rows
+           computed. *)
+        let memo = Jsp.Objective_cache.create ~n:(Engine.Pool.size epool) () in
         List.iter
           (fun budget ->
             let before = Jq.Multiclass_jq.flat_fallbacks () in
             let result =
-              Jsp.Annealing.solve_engine
+              Jsp.Annealing.solve_engine ~memo
                 ~rng:(Prob.Rng.create seed) ~task ~budget epool
             in
             warn_flat_fallback_once before;

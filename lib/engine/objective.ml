@@ -5,13 +5,15 @@ type accumulator = {
 }
 
 type t = {
-  name : string;
+  id : string;
+      (* Kind plus every parameter that moves a score (the bucket count);
+         never the workspace, which only holds scratch. *)
   score : task:Task.t -> Pool.t -> float;
   accumulate : (alpha:float -> float array -> accumulator) option;
       (* Fresh accumulator over a binary pool's qualities, by position. *)
 }
 
-let name t = t.name
+let id t = t.id
 let score t = t.score
 
 let score_workers t ~alpha =
@@ -24,16 +26,26 @@ let check_labels ~what ~task pool =
       (Printf.sprintf "%s: pool has %d labels but task has %d" what
          (Pool.labels pool) (Task.labels task))
 
-let accumulator t ~task pool =
+(* The one rule for which solves score incrementally: an accumulating
+   objective on a binary pool.  [incremental] and [accumulator] both read
+   it. *)
+let accumulating t pool =
   match (t.accumulate, Pool.repr pool) with
-  | Some make, Pool.Binary p ->
-      check_labels ~what:"Engine.Objective.accumulator" ~task pool;
-      Some (make ~alpha:(Task.alpha task) (Workers.Pool.qualities p))
+  | Some make, Pool.Binary p -> Some (make, p)
   | _ -> None
 
-let bv_bucket ?num_buckets ?workspace () =
+let incremental t pool = Option.is_some (accumulating t pool)
+
+let accumulator t ~task pool =
+  Option.map
+    (fun (make, p) ->
+      check_labels ~what:"Engine.Objective.accumulator" ~task pool;
+      make ~alpha:(Task.alpha task) (Workers.Pool.qualities p))
+    (accumulating t pool)
+
+let bv_bucket ?(num_buckets = Jq.Bucket.default_num_buckets) ?workspace () =
   {
-    name = "BV/bucket";
+    id = Printf.sprintf "BV/bucket/%d" num_buckets;
     score =
       (fun ~task pool ->
         if Pool.is_empty pool then Task.empty_score task
@@ -41,10 +53,10 @@ let bv_bucket ?num_buckets ?workspace () =
           check_labels ~what:"Engine.Objective.bv_bucket" ~task pool;
           match Pool.repr pool with
           | Pool.Binary p ->
-              Jq.Bucket.estimate ?workspace ?num_buckets
+              Jq.Bucket.estimate ?workspace ~num_buckets
                 ~alpha:(Task.alpha task) (Workers.Pool.qualities p)
           | Pool.Matrix jury ->
-              Jq.Multiclass_jq.estimate_bv ?workspace ?num_buckets
+              Jq.Multiclass_jq.estimate_bv ?workspace ~num_buckets
                 ~prior:(Task.prior task) jury
         end);
     accumulate = None;
@@ -54,7 +66,7 @@ let bv_bucket_incremental ?(num_buckets = Jq.Bucket.default_num_buckets)
     ?workspace () =
   {
     (bv_bucket ~num_buckets ?workspace ()) with
-    name = "BV/bucket-incr";
+    id = Printf.sprintf "BV/bucket-incr/%d" num_buckets;
     accumulate =
       Some
         (fun ~alpha qualities ->
@@ -70,7 +82,7 @@ let bv_bucket_incremental ?(num_buckets = Jq.Bucket.default_num_buckets)
 
 let mv_closed =
   {
-    name = "MV/closed";
+    id = "MV/closed";
     score =
       (fun ~task pool ->
         check_labels ~what:"Engine.Objective.mv_closed" ~task pool;
@@ -86,7 +98,7 @@ let mv_closed =
 let mv_closed_incremental =
   {
     mv_closed with
-    name = "MV/closed-incr";
+    id = "MV/closed-incr";
     accumulate =
       Some
         (fun ~alpha qualities ->
@@ -135,7 +147,7 @@ let bv_bucket_scored ?num_buckets ?workspace () ~task pool =
 
 let bv_exact_capped ?cap () =
   {
-    name = "BV/exact";
+    id = "BV/exact";
     score =
       (fun ~task pool ->
         if Pool.is_empty pool then Task.empty_score task

@@ -14,11 +14,16 @@
     re-running the full JQ computation — the annealer's hot path, whose
     moves change one or two members at a time.  Whether a solve scores
     incrementally is therefore decided by the objective, not by the
-    caller. *)
+    caller: {!incremental} is that rule, and {!accumulator} follows it. *)
 
 type t
 
-val name : t -> string
+val id : t -> string
+(** The objective's identity: its kind plus every parameter that moves a
+    score, so two objectives with equal ids score every (task, jury)
+    alike.  The bucket objectives carry their bucket count
+    (["BV/bucket-incr/50"]); the workspace is scratch and stays out. *)
+
 val score : t -> task:Task.t -> Pool.t -> float
 
 val score_workers : t -> alpha:float -> Workers.Pool.t -> float
@@ -36,10 +41,15 @@ type accumulator = {
           scale (final juries are re-scored with {!score}). *)
 }
 
+val incremental : t -> Pool.t -> bool
+(** Whether [t] scores [pool] incrementally: true exactly for the
+    [*_incremental] objectives on binary pools.  Otherwise every jury is
+    scored from scratch by {!score}, a pure function of (objective id,
+    task, jury) that callers may memoize across solves. *)
+
 val accumulator : t -> task:Task.t -> Pool.t -> accumulator option
-(** A fresh empty-jury accumulator over [pool], when [t] carries one for
-    that pool — the incremental objectives on binary pools — and [None]
-    when [pool] must be scored from scratch. *)
+(** A fresh empty-jury accumulator over [pool] when {!incremental} holds,
+    and [None] when [pool] must be scored from scratch. *)
 
 val bv_bucket : ?num_buckets:int -> ?workspace:Jq.Workspace.t -> unit -> t
 (** JQ under Bayesian Voting by the bucket approximation — Algorithm 1 for

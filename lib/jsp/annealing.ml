@@ -154,28 +154,33 @@ let run params st ~rng ~budget ~score_current ~probe_swap ~commit_add
   if params.keep_best then (!best_jury, !best_score)
   else (current_jury st, st.score)
 
-(* A caller-owned memo table ([?memo]) survives across solves — a serving
-   executor shares one so repeated queries hit a warm table.  It must have
-   been created with [~n:(Pool.size pool)].  Every solve salts its keys
-   with a digest of (objective, task, budget, RNG state), so solves that
-   could disagree on a selection's score occupy disjoint key spaces and
-   sharing is safe by construction. *)
+(* A caller-owned memo table ([?memo]) survives across solves.  It must
+   have been created with [~n:(Pool.size pool)] and serve one pool; the
+   salt keeps apart every solve whose scores could disagree. *)
 let memo_table ~cache ~memo ~n =
   match memo with
   | Some _ as m -> m
   | None -> if cache then Some (Objective_cache.create ~n ()) else None
 
-(* The salt must be derived before the schedule draws from [rng]:
-   [Rng.fingerprint] identifies the whole future stream, so together with
-   the objective, the task and the budget it pins every input the solve's
-   (selection -> score) map and trajectory depend on. *)
-let solve_salt ~objective ~task ~budget ~rng =
+(* A from-scratch score is a pure function of (objective, task, jury), so
+   those two pin the key space and every such solve over one pool shares
+   it, whatever its budget, RNG or params.  An accumulator's values are
+   path-dependent, so its solves also fold in the budget and the RNG
+   state, read before the schedule draws: [Rng.fingerprint] identifies the
+   whole future stream, and with the budget it pins the trajectory. *)
+let solve_salt ~objective ~task ~budget ~rng ~incremental =
+  let pure =
+    Printf.sprintf "%s|%s" (Engine.Objective.id objective)
+      (Engine.Task.fingerprint task)
+  in
   Digest.string
-    (Printf.sprintf "%s|%s|%Lx|%s"
-       (Engine.Objective.name objective)
-       (Engine.Task.fingerprint task)
-       (Int64.bits_of_float budget)
-       (Prob.Rng.fingerprint rng))
+    (if incremental then
+       Printf.sprintf "%s|%Lx|%s" pure (Int64.bits_of_float budget)
+         (Prob.Rng.fingerprint rng)
+     else pure)
+
+let default_objective ?num_buckets () =
+  Engine.Objective.bv_bucket_incremental ?num_buckets ()
 
 let solve_engine ?(params = default_params) ?objective ?num_buckets
     ?(cache = true) ?memo ~rng ~task ~budget pool =
@@ -186,11 +191,17 @@ let solve_engine ?(params = default_params) ?objective ?num_buckets
   let objective =
     match objective with
     | Some o -> o
-    | None -> Engine.Objective.bv_bucket_incremental ?num_buckets ()
+    | None -> default_objective ?num_buckets ()
   in
   let st = make_state pool in
   let memo = memo_table ~cache ~memo ~n:(Engine.Pool.size pool) in
-  let salt = solve_salt ~objective ~task ~budget ~rng in
+  (* [result.cache] counts this solve alone, also on a warm table. *)
+  let since = Option.map (fun c -> (c, Objective_cache.stats c)) memo in
+  let accumulator = Engine.Objective.accumulator objective ~task pool in
+  let salt =
+    solve_salt ~objective ~task ~budget ~rng
+      ~incremental:(Option.is_some accumulator)
+  in
   let memoized key_of eval =
     match memo with
     | None -> eval ()
@@ -205,7 +216,7 @@ let solve_engine ?(params = default_params) ?objective ?num_buckets
     Engine.Objective.score objective ~task jury
   in
   let jury, score =
-    match Engine.Objective.accumulator objective ~task pool with
+    match accumulator with
     | None ->
         let score_current () =
           memoized key (fun () -> from_scratch (current_jury st))
@@ -261,5 +272,6 @@ let solve_engine ?(params = default_params) ?objective ?num_buckets
     Solver.jury;
     score;
     evaluations = st.evaluations;
-    cache = Option.map Objective_cache.stats memo;
+    cache =
+      Option.map (fun (c, before) -> Objective_cache.stats_since c before) since;
   }

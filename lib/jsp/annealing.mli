@@ -24,14 +24,17 @@
     Partner picks use O(1) reads of a permutation array — the hot loop
     allocates nothing.
 
-    Every solve prefixes its cache keys with a salt — a digest of
-    (objective name, task prior, budget, RNG state), derived before the
-    first draw — so entries written by solves that could disagree on a
-    selection's score live in disjoint key spaces.  A caller-owned [?memo]
-    is therefore safe to share across arbitrary solves over one pool: a
-    repeat of an earlier (objective, prior, budget, seed) replays its warm
-    run byte-identically, and any other solve simply cannot observe the
-    foreign entries (they only compete for capacity). *)
+    Every solve prefixes its cache keys with a salt, derived before the
+    first draw, so entries written by solves that could disagree on a
+    selection's score live in disjoint key spaces.  A from-scratch score
+    is a pure function of (objective, task, jury), so a from-scratch
+    solve salts with a digest of ({!Engine.Objective.id}, task prior)
+    alone: every such solve over one pool shares its scores, whatever its
+    budget, seed or params.  An accumulator's values are path-dependent,
+    so an incremental solve also folds in the budget and the RNG state,
+    and only a repeat of the same (objective, prior, budget, seed) reads
+    its entries.  A caller-owned [?memo] is therefore safe to share across
+    arbitrary solves over one pool. *)
 
 type params = {
   t_initial : float;      (** Starting temperature (paper: 1.0). *)
@@ -48,6 +51,10 @@ type params = {
 
 val default_params : params
 
+val default_objective : ?num_buckets:int -> unit -> Engine.Objective.t
+(** The objective {!solve_engine} runs when given none: OPTJS,
+    {!Engine.Objective.bv_bucket_incremental} at [num_buckets]. *)
+
 val solve_engine :
   ?params:params ->
   ?objective:Engine.Objective.t ->
@@ -59,20 +66,27 @@ val solve_engine :
   budget:Budget.t ->
   Engine.Pool.t ->
   Engine.Pool.t Solver.result
-(** Run the annealer.  [objective] defaults to OPTJS,
-    {!Engine.Objective.bv_bucket_incremental} at [num_buckets] (which is
-    only read for that default).  The result is always feasible, its jury
+(** Run the annealer.  [objective] defaults to
+    {!default_objective} at [num_buckets] (which is only read for that
+    default).  The result is always feasible, its jury
     keeps the input representation, and it is deterministic given the
     [rng] state.
 
     [cache] (default [true]) memoizes repeat evaluations and surfaces
     counters in [result.cache].  [memo] supplies a caller-owned
     {!Objective_cache} instead (overriding [cache]); it survives the
-    solve, so a long-lived caller — a serving executor answering repeated
-    queries against one pool — starts each solve with a warm table.  It
-    must have been created with [~n] equal to the pool size; key salting
-    (see above) takes care of everything else.  [result.cache] then
-    reports the table's cumulative counters.
+    solve.  It must have been created with [~n] equal to the pool size and
+    serve one pool; key salting (see above) takes care of everything else.
+    It is how a long-lived caller shares pure scores: solves of any
+    budget, seed or params over one pool and task that score from scratch
+    ({!Engine.Objective.incremental} is false) read each other's entries,
+    and a hit returns exactly the float a fresh evaluation would, so the
+    jury and score equal a fresh-table solve's, and [evaluations] is no
+    higher unless the table reaches capacity and resets mid-solve.  Under
+    an accumulator the salt confines sharing to repeats of one (budget,
+    seed), so such a table only helps a caller that replays requests.
+    [result.cache] counts this solve's own hits, misses and evictions
+    either way, with the entries resident when it returns.
 
     With an accumulator, the returned score is a final from-scratch
     {!Engine.Objective.score} of the winning jury, so it is directly

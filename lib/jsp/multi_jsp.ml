@@ -68,29 +68,42 @@ let greedy ?num_buckets ~prior ~budget candidates =
 (* The engine pool carries positional ids, so the jury maps back onto the
    caller's candidate structs by position whatever their own ids are — and
    whichever representation the pool lowered to. *)
-let anneal ?params ?num_buckets ?cache ?memo ~rng ~prior ~budget candidates =
-  let task = task_of ~prior in
-  let epool =
-    Engine.Pool.of_confusions
-      (Array.mapi (fun i c -> Workers.Confusion.with_id c i) candidates)
-  in
+let engine_pool candidates =
+  Engine.Pool.of_confusions
+    (Array.mapi (fun i c -> Workers.Confusion.with_id c i) candidates)
+
+let anneal_pool ?params ?num_buckets ?cache ?memo ~rng ~task ~budget candidates
+    epool =
   Solver.map_jury
     (fun jury ->
       Array.of_list (List.map (Array.get candidates) (Engine.Pool.ids jury)))
     (Annealing.solve_engine ?params ?num_buckets ?cache ?memo ~rng ~task
        ~budget epool)
 
+let anneal ?params ?num_buckets ?cache ?memo ~rng ~prior ~budget candidates =
+  anneal_pool ?params ?num_buckets ?cache ?memo ~rng ~task:(task_of ~prior)
+    ~budget candidates (engine_pool candidates)
+
 let select ?params ?num_buckets ?(restarts = 1) ~rng ~prior ~budget candidates =
   if restarts < 1 then invalid_arg "Multi_jsp.select: restarts < 1";
-  let best =
-    ref (anneal ?params ?num_buckets ~rng ~prior ~budget candidates)
+  let task = task_of ~prior and epool = engine_pool candidates in
+  (* Restarts scoring from scratch share one table: their scores are pure,
+     so a hit is exactly the float a fresh evaluation would give. *)
+  let memo =
+    if
+      Engine.Objective.incremental
+        (Annealing.default_objective ?num_buckets ())
+        epool
+    then None
+    else Some (Objective_cache.create ~n:(Engine.Pool.size epool) ())
   in
+  let anneal rng =
+    anneal_pool ?params ?num_buckets ?memo ~rng ~task ~budget candidates epool
+  in
+  let best = ref (anneal rng) in
   for _ = 2 to restarts do
     (* Independent streams per restart; counters accumulate. *)
-    let r =
-      anneal ?params ?num_buckets ~rng:(Prob.Rng.split rng) ~prior ~budget
-        candidates
-    in
+    let r = anneal (Prob.Rng.split rng) in
     let merged_cache =
       match ((!best).Solver.cache, r.Solver.cache) with
       | Some a, Some b -> Some (Objective_cache.merge_stats a b)

@@ -57,7 +57,11 @@ val select :
   Workers.Confusion.t array Solver.result
 (** The production path: best of [restarts] annealing runs (default 1;
     further runs draw independent streams via {!Prob.Rng.split}) and
-    {!greedy}.  Evaluations accumulate across all runs.
+    {!greedy}.  On a pool scored from scratch (not lowered to the binary
+    accumulator path) the runs share one {!Objective_cache}, so a later
+    restart reads the scores an earlier one computed; the result equals
+    that of fresh per-run tables.  Evaluations and cache counters
+    accumulate across all runs.
     @raise Invalid_argument when [restarts < 1]. *)
 
 val exhaustive :

@@ -48,8 +48,8 @@ let bytes_for n = (n + 7) / 8
    never collide (the bitset always starts at the same offset for a given
    cache [n], and salts are fixed-length digests at the call sites), so one
    table safely serves solves whose scores would disagree — different
-   objectives, priors, budgets or RNG trajectories land in disjoint key
-   spaces. *)
+   objectives or priors, and for path-dependent accumulators different
+   budgets or RNG trajectories, land in disjoint key spaces. *)
 let pack ?(salt = "") t selected =
   if Array.length selected <> t.n then
     invalid_arg "Objective_cache: selection length mismatch";
@@ -103,6 +103,15 @@ let stats t =
     evals_saved = t.hits;
     entries = Hashtbl.length t.table;
     evictions = t.evictions;
+  }
+
+let stats_since t (before : stats) =
+  {
+    hits = t.hits - before.hits;
+    misses = t.misses - before.misses;
+    evals_saved = t.hits - before.hits;
+    entries = Hashtbl.length t.table;
+    evictions = t.evictions - before.evictions;
   }
 
 let empty_stats = { hits = 0; misses = 0; evals_saved = 0; entries = 0; evictions = 0 }

@@ -37,9 +37,10 @@ val key : ?salt:string -> t -> bool array -> key
 (** Pack a selection into its key.  [salt] (default ["" ]) is an opaque
     prefix under the caller's control: keys built with different salts
     occupy disjoint key spaces, so one table can serve solves whose scores
-    would disagree — {!Annealing} salts with a digest of (objective, task,
-    budget, RNG state), which is what makes caller-owned memo sharing safe
-    by construction.  Callers must use fixed-length salts per table.
+    would disagree — {!Annealing} salts from-scratch solves with a digest
+    of (objective, task), and accumulator solves also with the budget and
+    RNG state, which is what makes caller-owned memo sharing safe by
+    construction.  Callers must use fixed-length salts per table.
     @raise Invalid_argument when the array length differs from [n]. *)
 
 val key_swapped : ?salt:string -> t -> bool array -> out:int -> into:int -> key
@@ -52,6 +53,11 @@ val find_or_eval : t -> key -> (unit -> float) -> float
 
 val stats : t -> stats
 (** Counters so far (cheap snapshot). *)
+
+val stats_since : t -> stats -> stats
+(** The hits, misses and evictions counted since [before] was taken by
+    {!stats} on the same table, with the entries resident now — one
+    solve's own counters on a table that outlives it. *)
 
 val empty_stats : stats
 val merge_stats : stats -> stats -> stats

@@ -17,6 +17,7 @@ type counter =
   | Cache_misses
   | Cache_entries
   | Cache_evictions
+  | Solves
 
 (* The slot functions, [bump] and [push] are inlined: [record] runs them on
    every request, and as calls they cost it a tenth of its time. *)
@@ -37,6 +38,7 @@ let[@inline] counter_slot = function
   | Cache_misses -> 13
   | Cache_entries -> 14
   | Cache_evictions -> 15
+  | Solves -> 16
 
 (* The stats key of each counter, by slot. *)
 let counter_keys =
@@ -44,7 +46,7 @@ let counter_keys =
     "requests"; "ok"; "errors"; "overloads"; "deadlines"; "jq_memo_hits";
     "select_memo_hits"; "steals"; "jq_flat_fallbacks"; "votes_ingested";
     "recal_runs"; "fleet_releases"; "cache_hits"; "cache_misses";
-    "cache_entries"; "cache_evictions";
+    "cache_entries"; "cache_evictions"; "solves";
   |]
 
 type timer = Latency | Jq_eval | Session_verb | Ingest | Fleet_assign

@@ -35,6 +35,7 @@ type counter =
   | Cache_misses        (** [cache_misses] *)
   | Cache_entries       (** [cache_entries] *)
   | Cache_evictions     (** [cache_evictions] *)
+  | Solves              (** [solves] *)
 
 (** A timer: a ring of each shard's 2048 most recent samples, reported as
     p50/p95/p99 keys once it has a sample, plus a key counting every

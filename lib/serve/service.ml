@@ -75,11 +75,25 @@ type exec = {
       (* Dense-kernel scratch, owned by this executor domain alone: jq
          evaluations at steady state reuse its buffers instead of
          allocating.  Never handed to another domain (see Jq.Workspace). *)
+  scores : (string * int * float list, Jsp.Objective_cache.t) Memo.t;
+      (* (pool, version, prior) -> the score table every solve on this
+         executor shares when it scores that pool from scratch.  Those
+         scores are pure, so a hit is the float a fresh evaluation would
+         give, whichever solve stored it. *)
 }
 
 let row_memo_cap = 1024
 let jq_memo_cap = 128
 let inc_cap = 8
+
+(* Score tables per executor, and entries per table; either cap empties
+   its map wholesale.  4096 entries hold every subset of
+   a 12-worker pool.  Such an entry measures 84 bytes (hashtable cell,
+   boxed float, a key of the 16-byte salt and the selection bitset; a
+   larger pool adds n/8 bytes of key), so a full table takes about 340 KB
+   and an executor's 16 tables at most about 5.4 MB. *)
+let score_tables_cap = 16
+let score_table_capacity = 4096
 
 type t = {
   registry : Registry.t;
@@ -96,6 +110,8 @@ type t = {
   n_domains : int;
   deadline : float option;
   num_buckets : int;
+  objective : Engine.Objective.t;
+      (* OPTJS at [num_buckets]: what every jury row is solved with. *)
   inline_rr : int Atomic.t;   (* Spreads affinity-free requests. *)
   session_stores : (Mutex.t * Session.Store.t) array;
       (* One store per shard, indexed by the pool-name hash — the same
@@ -281,11 +297,28 @@ let eval_jq_inline t exec ~qualities ~prior ~num_buckets =
           message = "inline qualities are binary: prior must have 2 labels";
         }
 
-(* A memo hit skips the annealer; a miss runs it with its own fresh score
-   cache, exactly as a never-seen key does, and stores the row only once
-   the solve has returned.  An executor checks the memo even for a read
-   the submitting thread just missed: a duplicate queued behind a miss
-   is answered from the row that miss stored. *)
+(* The executor's score table for one pool version and prior.  A version
+   bump keys a new table; the old one goes at the next wholesale reset. *)
+let score_table exec ~pool_name ~version ~prior pool =
+  let key = (pool_name, version, prior) in
+  match Memo.find exec.scores key with
+  | Some table -> table
+  | None ->
+      let table =
+        Jsp.Objective_cache.create ~capacity:score_table_capacity
+          ~n:(Engine.Pool.size pool) ()
+      in
+      Memo.add exec.scores key table;
+      table
+
+(* A memo hit skips the annealer and stores nothing.  A miss runs it and
+   stores the row once the solve has returned.  On a pool scored from
+   scratch the solve reads and fills the executor's score table for the
+   pool version; an accumulator solve builds its own fresh table, as its
+   path-dependent values could serve no other solve.  Either way the row
+   is what a never-seen key gets.  An executor checks the memo even for a
+   read the submitting thread just missed: a duplicate queued behind a
+   miss is answered from the row that miss stored. *)
 let solve_select t site ~pool ~version ~pool_name ~budget ~prior ~seed =
   let key = (pool_name, version, prior, budget, seed) in
   match Memo.find t.rows key with
@@ -294,10 +327,15 @@ let solve_select t site ~pool ~version ~pool_name ~budget ~prior ~seed =
       row
   | None ->
       let exec = executor site in
+      let memo =
+        if Engine.Objective.incremental t.objective pool then None
+        else Some (score_table exec ~pool_name ~version ~prior pool)
+      in
       let result =
-        Jsp.Annealing.solve_engine ~num_buckets:t.num_buckets
+        Jsp.Annealing.solve_engine ~objective:t.objective ?memo
           ~rng:(Prob.Rng.create seed) ~task:(task_of_prior prior) ~budget pool
       in
+      count t exec Metrics.Solves 1;
       Option.iter
         (fun (c : Jsp.Objective_cache.stats) ->
           count t exec Metrics.Cache_hits c.hits;
@@ -958,6 +996,7 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
       n_domains;
       deadline;
       num_buckets;
+      objective = Jsp.Annealing.default_objective ~num_buckets ();
       inline_rr = Atomic.make 0;
       session_stores =
         Array.init n_domains (fun _ ->
@@ -979,6 +1018,7 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
             shard;
             incs = Memo.create inc_cap;
             workspace = Jq.Workspace.create ();
+            scores = Memo.create score_tables_cap;
           }
         in
         Domain.spawn (fun () -> executor_loop t exec));

@@ -152,8 +152,46 @@ let ( let* ) = Result.bind
    [fail] keeps the parsing helpers on the stdlib one. *)
 let fail msg = Stdlib.Error msg
 
+(* The number grammar of docs/serving.md, checked in one pass before the
+   stdlib converts a token: integers are [-?digits], floats
+   [-?digits(.digits)?([eE][+-]?digits)?].  The converters alone would
+   also take OCaml's own spellings (0x10, 0b101, 0o17, +5, 1_000, .5,
+   0x1p3) and leading whitespace.  The scan runs on every number the
+   daemon decodes, so it reads each byte once, with no call per byte. *)
+let skip_digits s i =
+  let i = ref i in
+  while
+    !i < String.length s
+    &&
+    let c = String.unsafe_get s !i in
+    c >= '0' && c <= '9'
+  do
+    incr i
+  done;
+  !i
+
+let is_number ~float s =
+  let n = String.length s in
+  let at i c = i < n && String.unsafe_get s i = c in
+  let first = if at 0 '-' then 1 else 0 in
+  let i = skip_digits s first in
+  if i = first then false
+  else if not float then i = n
+  else
+    let i =
+      if at i '.' then
+        let j = skip_digits s (i + 1) in
+        if j = i + 1 then n + 1 (* a dot needs digits after it *) else j
+      else i
+    in
+    if at i 'e' || at i 'E' then
+      let i = if at (i + 1) '+' || at (i + 1) '-' then i + 2 else i + 1 in
+      let j = skip_digits s i in
+      j > i && j = n
+    else i = n
+
 let parse_float what s =
-  match float_of_string_opt s with
+  match if is_number ~float:true s then float_of_string_opt s else None with
   | Some f when Float.is_finite f -> Ok f
   | _ -> fail (Printf.sprintf "%s: not a finite number: %S" what s)
 
@@ -168,7 +206,7 @@ let parse_nonneg what s =
   if f < 0. then fail (Printf.sprintf "%s: must be nonnegative" what) else Ok f
 
 let parse_int what s =
-  match int_of_string_opt s with
+  match if is_number ~float:false s then int_of_string_opt s else None with
   | Some i -> Ok i
   | None -> fail (Printf.sprintf "%s: not an integer: %S" what s)
 

@@ -188,6 +188,17 @@ let test_objective_accumulators () =
     (has (Engine.Objective.bv_bucket_incremental ()) ~task binary);
   check_bool "incremental objective, matrix pool: none" false
     (has (Engine.Objective.bv_bucket_incremental ()) ~task:three matrix);
+  List.iter
+    (fun (what, objective, task, pool) ->
+      check_bool (what ^ ": the predicate agrees") (has objective ~task pool)
+        (Engine.Objective.incremental objective pool))
+    [
+      ("from scratch", Engine.Objective.bv_bucket (), task, binary);
+      ("incremental", Engine.Objective.bv_bucket_incremental (), task, binary);
+      ("incremental on ℓ=3", Engine.Objective.bv_bucket_incremental (), three, matrix);
+      ("MV incremental", Engine.Objective.mv_closed_incremental, task, binary);
+      ("MV closed", Engine.Objective.mv_closed, task, binary);
+    ];
   (match
      Engine.Objective.accumulator Engine.Objective.mv_closed_incremental ~task
        binary
@@ -205,6 +216,28 @@ let test_objective_accumulators () =
       check_float "after removal" (closed [ 2 ]) (acc.value ()));
   expect_invalid "mv_closed on a matrix pool" (fun () ->
       Engine.Objective.score Engine.Objective.mv_closed ~task:three matrix)
+
+(* Score keys must tell bucket counts apart: the scores differ. *)
+let test_objective_ids () =
+  let id = Engine.Objective.id in
+  let ids =
+    [
+      id (Engine.Objective.bv_bucket ~num_buckets:20 ());
+      id (Engine.Objective.bv_bucket ~num_buckets:50 ());
+      id (Engine.Objective.bv_bucket_incremental ~num_buckets:20 ());
+      id (Engine.Objective.bv_bucket_incremental ~num_buckets:50 ());
+      id Engine.Objective.mv_closed;
+      id Engine.Objective.mv_closed_incremental;
+      id Engine.Objective.bv_exact;
+    ]
+  in
+  check_int "all distinct" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check string)
+    "the default bucket count is spelled out"
+    (id (Engine.Objective.bv_bucket_incremental
+           ~num_buckets:Jq.Bucket.default_num_buckets ()))
+    (id (Engine.Objective.bv_bucket_incremental ()))
 
 (* ---- ℓ=2 equivalence with scalar pools ---------------------------------- *)
 
@@ -350,6 +383,181 @@ let test_memo_sharing_matrix () =
   let replay = run ~memo ~prior:p1 ~budget:4. ~seed:3 () in
   check_same "warm replay" replay shared1
 
+(* One memo serving the same solve at two bucket counts: the second must
+   not read the first's scores.  Same budget and seed, so only the
+   objective's identity keeps the two apart. *)
+let test_memo_bucket_counts () =
+  let check what pool task =
+    let memo = Jsp.Objective_cache.create ~n:(Engine.Pool.size pool) () in
+    let run ?memo num_buckets =
+      Jsp.Annealing.solve_engine ?memo ~num_buckets ~rng:(Prob.Rng.create 5)
+        ~task ~budget:8. pool
+    in
+    ignore (run ~memo 20);
+    let shared = run ~memo 50 and fresh = run 50 in
+    Alcotest.(check (list int))
+      (what ^ ": jury") (Engine.Pool.ids fresh.Jsp.Solver.jury)
+      (Engine.Pool.ids shared.Jsp.Solver.jury);
+    check_bool (what ^ ": score bitwise") true
+      (shared.Jsp.Solver.score = fresh.Jsp.Solver.score);
+    check_int (what ^ ": no score read across bucket counts")
+      fresh.Jsp.Solver.evaluations shared.Jsp.Solver.evaluations
+  in
+  check "matrix"
+    (Engine.Pool.of_confusions confusions3)
+    (Engine.Task.make ~prior:[| 0.2; 0.5; 0.3 |]);
+  check "binary"
+    (Engine.Pool.of_workers
+       (Workers.Pool.of_list
+          (List.init 8 (fun id ->
+               Workers.Worker.make ~id
+                 ~quality:(0.55 +. (0.05 *. float_of_int id))
+                 ~cost:(1. +. float_of_int (id mod 3))
+                 ()))))
+    (Engine.Task.binary ~alpha:0.4)
+
+(* A row-stochastic ℓ×ℓ matrix with row j's diagonal [diagonal.(j)] and
+   the rest of each row split by [weights]; distinct diagonals keep a
+   2×2 matrix asymmetric, so its pool is not lowered to scalars. *)
+let random_confusion ~labels ~id (diagonal, weights, cost) =
+  let diagonal = Array.of_list diagonal in
+  Workers.Confusion.make ~id
+    ~matrix:
+      (Array.init labels (fun j ->
+           let d = diagonal.(j) in
+           let others = Array.of_list (List.filteri (fun k _ -> k <> j) weights) in
+           let total = Array.fold_left ( +. ) 0. others in
+           let k = ref 0 in
+           Array.init labels (fun v ->
+               if v = j then d
+               else begin
+                 let w = others.(!k) in
+                 incr k;
+                 (1. -. d) *. w /. total
+               end)))
+    ~cost ()
+
+let solve_params_gen =
+  QCheck2.Gen.(
+    oneofl [ 1e-2; 1e-3 ] >>= fun epsilon ->
+    oneofl [ 1.5; 2.; 3. ] >>= fun cooling ->
+    oneofl [ None; Some 3; Some 9 ] >>= fun moves_per_temp ->
+    bool >>= fun keep_best ->
+    float_range 0.05 0.9 >>= fun share ->
+    int_bound 1_000_000 >>= fun seed ->
+    return
+      ( { Jsp.Annealing.default_params with
+          epsilon;
+          cooling;
+          moves_per_temp;
+          keep_best;
+        },
+        share,
+        seed ))
+
+(* A pool scored from scratch with its objective and task: [bv_bucket] on
+   a binary pool, or the default objective on a 2- or 3-label matrix
+   pool. *)
+let pure_case_gen =
+  QCheck2.Gen.(
+    int_range 1 8 >>= fun n ->
+    int_range 1 3 >>= fun kind ->
+    let worker labels =
+      triple
+        (list_size (return labels) (float_range 0.3 0.95))
+        (list_size (return labels) (float_range 0.1 1.))
+        (float_range 0.5 3.)
+    in
+    (if kind = 1 then
+       array_size (return n) (pair (float_range 0.3 0.95) (float_range 0.5 3.))
+       >>= fun specs ->
+       float_range 0.1 0.9 >>= fun alpha ->
+       return
+         ( Engine.Pool.of_workers
+             (Workers.Pool.of_list
+                (Array.to_list
+                   (Array.mapi
+                      (fun id (quality, cost) ->
+                        Workers.Worker.make ~id ~quality ~cost ())
+                      specs))),
+           Some (Engine.Objective.bv_bucket ()),
+           Engine.Task.binary ~alpha )
+     else
+       let labels = kind in
+       array_size (return n) (worker labels) >>= fun specs ->
+       list_size (return labels) (float_range 0.1 1.) >>= fun weights ->
+       let total = List.fold_left ( +. ) 0. weights in
+       return
+         ( Engine.Pool.of_confusions
+             (Array.mapi (fun id spec -> random_confusion ~labels ~id spec) specs),
+           None,
+           Engine.Task.make
+             ~prior:(Array.of_list (List.map (fun w -> w /. total) weights)) ))
+    >>= fun case ->
+    list_size (int_range 0 5) solve_params_gen >>= fun warmers ->
+    solve_params_gen >>= fun target -> return (case, warmers, target))
+
+(* Pure scores shared across solves change nothing a solve returns: on a
+   table warmed by other solves of the same pool and task, the jury and
+   the score are bit-identical to a fresh table's, and no more kernel
+   evaluations run.  The solve's cache counters are its own: each of its
+   evaluations is one of its misses, whatever the table saw before. *)
+let shared_table_prop ((pool, objective, task), warmers, target) =
+  let total = Engine.Pool.total_cost pool in
+  let solve ?memo (params, share, seed) =
+    Jsp.Annealing.solve_engine ~params ?objective ?memo
+      ~rng:(Prob.Rng.create seed) ~task ~budget:(share *. total) pool
+  in
+  let memo = Jsp.Objective_cache.create ~n:(Engine.Pool.size pool) () in
+  List.iter (fun w -> ignore (solve ~memo w)) warmers;
+  let warm = solve ~memo target and fresh = solve target in
+  let objective =
+    Option.value objective ~default:(Engine.Objective.bv_bucket_incremental ())
+  in
+  (not (Engine.Objective.incremental objective pool))
+  && Engine.Pool.ids warm.Jsp.Solver.jury = Engine.Pool.ids fresh.Jsp.Solver.jury
+  && Int64.bits_of_float warm.Jsp.Solver.score
+     = Int64.bits_of_float fresh.Jsp.Solver.score
+  && warm.Jsp.Solver.evaluations <= fresh.Jsp.Solver.evaluations
+  &&
+  match warm.Jsp.Solver.cache with
+  | Some c -> c.Jsp.Objective_cache.misses = warm.Jsp.Solver.evaluations
+  | None -> false
+
+(* [Multi_jsp.select]'s restarts share one table; the result must be the
+   one fresh per-restart tables give: the same runs, in the same order,
+   floored by the same greedy scan. *)
+let test_multi_jsp_shared_restarts () =
+  let prior = [| 0.2; 0.5; 0.3 |] and budget = 5. in
+  List.iter
+    (fun seed ->
+      let shared =
+        Jsp.Multi_jsp.select ~restarts:4 ~rng:(Prob.Rng.create seed) ~prior
+          ~budget confusions3
+      in
+      let rng = Prob.Rng.create seed in
+      let anneal rng = Jsp.Multi_jsp.anneal ~rng ~prior ~budget confusions3 in
+      let first = anneal rng in
+      let runs = first :: List.init 3 (fun _ -> anneal (Prob.Rng.split rng)) in
+      let best =
+        List.fold_left
+          (fun best r -> if r.Jsp.Solver.score > best.Jsp.Solver.score then r else best)
+          first (List.tl runs)
+      in
+      let greedy = Jsp.Multi_jsp.greedy ~prior ~budget confusions3 in
+      let fresh = if greedy.Jsp.Solver.score > best.Jsp.Solver.score then greedy else best in
+      let ids r = Array.to_list (Array.map Workers.Confusion.id r.Jsp.Solver.jury) in
+      Alcotest.(check (list int)) "same jury" (ids fresh) (ids shared);
+      check_bool "same score bitwise" true
+        (shared.Jsp.Solver.score = fresh.Jsp.Solver.score);
+      let evaluations =
+        List.fold_left (fun n r -> n + r.Jsp.Solver.evaluations)
+          greedy.Jsp.Solver.evaluations runs
+      in
+      check_bool "no more evaluations" true
+        (shared.Jsp.Solver.evaluations <= evaluations))
+    [ 1; 2; 3; 17 ]
+
 let test_multi_jsp_restarts () =
   Alcotest.check_raises "restarts < 1"
     (Invalid_argument "Multi_jsp.select: restarts < 1") (fun () ->
@@ -388,6 +596,8 @@ let () =
             test_objective_exact_vs_bucket_multiclass;
           Alcotest.test_case "accumulators only for binary pools" `Quick
             test_objective_accumulators;
+          Alcotest.test_case "ids carry the bucket count" `Quick
+            test_objective_ids;
         ] );
       ( "equivalence",
         [
@@ -402,6 +612,12 @@ let () =
             test_memo_sharing_binary;
           Alcotest.test_case "shared memo is safe (matrix)" `Quick
             test_memo_sharing_matrix;
+          Alcotest.test_case "shared memo keeps bucket counts apart" `Quick
+            test_memo_bucket_counts;
+          qtest ~count:60 "a warmed score table changes no pure solve"
+            pure_case_gen shared_table_prop;
+          Alcotest.test_case "select restarts share one table exactly" `Quick
+            test_multi_jsp_shared_restarts;
           Alcotest.test_case "select rejects restarts < 1" `Quick
             test_multi_jsp_restarts;
         ] );

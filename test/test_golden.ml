@@ -226,9 +226,11 @@ let iter_mutations line f =
     tokens
 
 (* The digest of every decode result, error messages included, over every
-   mutation of every transcript line.  It was recorded before the field
-   grammars were deduplicated, and pins them. *)
-let fuzz_digest = "f13c1713f00f972ba874f2ef90323b90"
+   mutation of every transcript line.  It pins the field grammars, and was
+   last recorded when numbers were held to the documented number grammar,
+   which refuses the mutations that put a carriage return before a number
+   or cut one after its decimal point ("\r.5", "5."). *)
+let fuzz_digest = "71504c9f50aa77a9ab837b201205bf5e"
 
 let test_fuzz () =
   let lines =

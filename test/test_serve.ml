@@ -264,6 +264,18 @@ let codec_props =
             tokens
         in
         List.hd tokens = Wire.verb request && pool = Wire.pool request);
+    qtest ~count:1000 "every finite float renders inside the number grammar"
+      QCheck2.Gen.(
+        map2
+          (fun hi lo ->
+            Int64.(logor (shift_left (of_int hi) 32) (logand (of_int lo) 0xFFFF_FFFFL)))
+          int int)
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        (not (Float.is_finite f))
+        ||
+        let reply = Wire.Stats_result [ ("x", f) ] in
+        Wire.decode_response (Wire.encode_response reply) = Ok reply);
     qtest ~count:500 "decode_request never raises" QCheck2.Gen.string (fun s ->
         match Wire.decode_request s with Ok _ | Error _ -> true);
     qtest ~count:500 "decode_response never raises" QCheck2.Gen.string (fun s ->
@@ -341,6 +353,11 @@ let codec_units =
     check_decode "unknown verb" "bogus" None;
     check_decode "missing mandatory field" "select pool=p" None;
     check_decode "empty budgets rejected" "table pool=p budgets=-" None;
+    check_decode "exponents and negative seeds are in the grammar"
+      "select pool=p budget=1.5E+1 seed=-3"
+      (Some
+         (Wire.Select
+            { pool = "p"; budget = 15.; prior = Wire.default_prior; seed = -3 }));
     check_decode "fleet-submit defaults fill in"
       "fleet-submit pool=p task=t1 prior=0.3,0.7 budget=6"
       (Some
@@ -565,7 +582,7 @@ let metrics_counters =
       (Votes_ingested, "votes_ingested"); (Recal_runs, "recal_runs");
       (Fleet_releases, "fleet_releases"); (Cache_hits, "cache_hits");
       (Cache_misses, "cache_misses"); (Cache_entries, "cache_entries");
-      (Cache_evictions, "cache_evictions");
+      (Cache_evictions, "cache_evictions"); (Solves, "solves");
     ]
 
 let metrics_timers =
@@ -753,13 +770,15 @@ let check_response name expected actual =
     (Wire.encode_response expected)
     (Wire.encode_response actual)
 
-(* A direct annealing run with a fresh score cache on the binary default
-   prior: what the service must answer for a select, memo hit or not. *)
-let direct_select epool ~budget ~seed =
+(* A direct annealing run with a fresh score cache, on the binary default
+   prior unless [prior] says otherwise: what the service must answer for a
+   select, memo hit or not. *)
+let direct_select ?(prior = Wire.default_prior) epool ~budget ~seed =
   let result =
     Jsp.Annealing.solve_engine ~num_buckets:Jq.Bucket.default_num_buckets
-      ~rng:(Prob.Rng.create seed) ~task:(Engine.Task.binary ~alpha:0.5) ~budget
-      epool
+      ~rng:(Prob.Rng.create seed)
+      ~task:(Engine.Task.make ~prior:(Array.of_list prior))
+      ~budget epool
   in
   Wire.Select_result
     {
@@ -1637,14 +1656,14 @@ let stat_of service key =
   | None -> Alcotest.failf "stats: missing %s" key
 
 (* Run [f] and return its result with how far [select_memo_hits] and
-   [cache_misses] rose meanwhile. *)
+   [solves] rose meanwhile. *)
 let counting service f =
   let hits0 = stat_of service "select_memo_hits"
-  and misses0 = stat_of service "cache_misses" in
+  and solves0 = stat_of service "solves" in
   let v = f () in
   ( v,
     stat_of service "select_memo_hits" -. hits0,
-    stat_of service "cache_misses" -. misses0 )
+    stat_of service "solves" -. solves0 )
 
 let select_request ~seed =
   Wire.Select { pool = "memo"; budget = 12.; prior = Wire.default_prior; seed }
@@ -1656,17 +1675,17 @@ let memo_replay_test () =
   with_service (fun service ->
       put_pool service "memo" pool;
       let submit = Serve.Service.submit service in
-      let first, hits, misses = counting service (fun () -> submit (select_request ~seed:9)) in
+      let first, hits, solves = counting service (fun () -> submit (select_request ~seed:9)) in
       check_response "cold select = direct solve"
         (direct_select (Engine.Pool.of_workers pool) ~budget:12. ~seed:9)
         first;
       Alcotest.(check (float 0.)) "cold select is a miss" 0. hits;
-      Alcotest.(check bool) "cold select runs a solve" true (misses > 0.);
-      let again, hits, misses = counting service (fun () -> submit (select_request ~seed:9)) in
+      Alcotest.(check (float 0.)) "cold select runs a solve" 1. solves;
+      let again, hits, solves = counting service (fun () -> submit (select_request ~seed:9)) in
       check_response "replay bytes" first again;
       Alcotest.(check (float 0.)) "replay is a hit" 1. hits;
-      Alcotest.(check (float 0.)) "replay runs no solve" 0. misses;
-      let table, hits, misses =
+      Alcotest.(check (float 0.)) "replay runs no solve" 0. solves;
+      let table, hits, solves =
         counting service (fun () ->
             submit
               (Wire.Table
@@ -1679,17 +1698,17 @@ let memo_replay_test () =
             (Wire.Table_result [ row ])
       | r, _ -> Alcotest.failf "table: %s" (Wire.encode_response r));
       Alcotest.(check (float 0.)) "table row is a hit" 1. hits;
-      Alcotest.(check (float 0.)) "table row runs no solve" 0. misses;
+      Alcotest.(check (float 0.)) "table row runs no solve" 0. solves;
       (* One memoized row and one new one: the table is solved once, on an
          executor, and its one hit is counted once. *)
-      let _, hits, misses =
+      let _, hits, solves =
         counting service (fun () ->
             submit
               (Wire.Table
                  { pool = "memo"; budgets = [ 12.; 7. ]; prior = Wire.default_prior; seed = 9 }))
       in
       Alcotest.(check (float 0.)) "half-memoized table counts one hit" 1. hits;
-      Alcotest.(check bool) "half-memoized table solves its new row" true (misses > 0.))
+      Alcotest.(check (float 0.)) "half-memoized table solves its new row" 1. solves)
 
 (* A version bump — pool-put or an applied report batch — keys a new
    row: the same select misses and is answered for the new version. *)
@@ -1703,10 +1722,10 @@ let memo_version_test () =
         | None -> Alcotest.fail "pool vanished"
       in
       let miss_answers_current name =
-        let reply, hits, misses = counting service (fun () -> submit (select_request ~seed:4)) in
+        let reply, hits, solves = counting service (fun () -> submit (select_request ~seed:4)) in
         check_response name (direct_select (served ()) ~budget:12. ~seed:4) reply;
         Alcotest.(check (float 0.)) (name ^ ": miss") 0. hits;
-        Alcotest.(check bool) (name ^ ": solve ran") true (misses > 0.)
+        Alcotest.(check (float 0.)) (name ^ ": solve ran") 1. solves
       in
       put_pool service "memo" (test_pool 12);
       miss_answers_current "first put";
@@ -1730,13 +1749,117 @@ let memo_overflow_test () =
       for seed = 1 to Serve.Service.row_memo_cap do
         ignore (submit (select_request ~seed))
       done;
-      let again, hits, misses = counting service (fun () -> submit (select_request ~seed:0)) in
+      let again, hits, solves = counting service (fun () -> submit (select_request ~seed:0)) in
       check_response "evicted key replies the same bytes" first again;
       check_response "evicted key = direct solve"
         (direct_select (Engine.Pool.of_workers pool) ~budget:12. ~seed:0)
         again;
       Alcotest.(check (float 0.)) "evicted key is a miss" 0. hits;
-      Alcotest.(check bool) "evicted key is solved again" true (misses > 0.))
+      Alcotest.(check (float 0.)) "evicted key is solved again" 1. solves)
+
+(* ---- executor score tables ------------------------------------------- *)
+
+let uniform3 = [ 1. /. 3.; 1. /. 3.; 1. /. 3. ]
+
+(* A 3-label pool of [n] workers drawn the way the load generator draws
+   them: each reports the truth with its quality and spreads the rest. *)
+let matrix_rows ~seed n =
+  let rng = Prob.Rng.create seed in
+  List.init n (fun _ ->
+      let d = 0.45 +. Prob.Rng.float rng 0.45 in
+      Wire.Matrix_row (matrix_of ~labels:3 d, 0.5 +. Prob.Rng.float rng 2.))
+
+let put_rows service name workers =
+  match Serve.Service.submit service (Wire.Pool_put { name; workers }) with
+  | Wire.Pool_info _ -> ()
+  | r -> Alcotest.failf "pool-put: %s" (Wire.encode_response r)
+
+let matrix_select ~budget ~seed =
+  Wire.Select { pool = "m"; budget; prior = uniform3; seed }
+
+let score_table_targets =
+  [
+    matrix_select ~budget:4. ~seed:9;
+    Wire.Table { pool = "m"; budgets = [ 3.; 6. ]; prior = uniform3; seed = 9 };
+  ]
+
+(* The replies to [score_table_targets] after [warm] ran, with how far
+   [solves] and [cache_misses] rose over the targets alone. *)
+let score_table_replies ~warm =
+  with_service (fun service ->
+      put_rows service "m" (matrix_rows ~seed:3 10);
+      warm service;
+      let solves0 = stat_of service "solves"
+      and misses0 = stat_of service "cache_misses" in
+      let replies = List.map (Serve.Service.submit service) score_table_targets in
+      ( replies,
+        stat_of service "solves" -. solves0,
+        stat_of service "cache_misses" -. misses0 ))
+
+(* Matrix selects and table rows on an executor table that other selects
+   warmed answer the very bytes a fresh service does, and read some of
+   their scores from the table instead of running the kernel. *)
+let warmed_table_test () =
+  let fresh, fresh_solves, fresh_misses = score_table_replies ~warm:ignore in
+  let warmed, warm_solves, warm_misses =
+    score_table_replies ~warm:(fun service ->
+        List.iter
+          (fun seed ->
+            ignore
+              (Serve.Service.submit service
+                 (matrix_select ~budget:(1. +. float_of_int seed) ~seed)))
+          [ 1; 2; 3; 4; 5 ])
+  in
+  List.iter2 (check_response "warmed table = fresh service") fresh warmed;
+  Alcotest.(check (float 0.)) "three solves either way" 3. fresh_solves;
+  Alcotest.(check (float 0.)) "three solves on the warmed table" 3. warm_solves;
+  Alcotest.(check bool)
+    "the warmed table saves kernel runs" true (warm_misses < fresh_misses)
+
+(* A version bump — pool-put or an applied report batch — keys a new score
+   table, so no score of the old pool version reaches a new solve: the
+   select answers what a fresh solve on the served pool does. *)
+let score_table_version_test () =
+  let calib_config = { Workers.Calib.default_config with Workers.Calib.batch = 8 } in
+  with_service ~calib_config (fun service ->
+      let submit = Serve.Service.submit service in
+      let target = matrix_select ~budget:5. ~seed:4 in
+      let answers_served name =
+        let served =
+          match Serve.Registry.find (Serve.Service.registry service) "m" with
+          | Some (epool, _) -> epool
+          | None -> Alcotest.fail "pool vanished"
+        in
+        check_response name
+          (direct_select ~prior:uniform3 served ~budget:5. ~seed:4)
+          (submit target)
+      in
+      let warm () =
+        List.iter
+          (fun seed -> ignore (submit (matrix_select ~budget:5. ~seed)))
+          [ 1; 2; 3 ]
+      in
+      let rows = matrix_rows ~seed:3 10 in
+      put_rows service "m" rows;
+      warm ();
+      answers_served "first put";
+      (* The same costs, so the new version's solve starts down the old
+         one's path and meets juries the table scored for the old pool. *)
+      put_rows service "m"
+        (List.map
+           (function
+             | Wire.Matrix_row (m, c) ->
+                 Wire.Matrix_row
+                   (matrix_of ~labels:3 (0.45 +. Float.rem (7. *. m.(0).(0)) 0.45), c)
+             | row -> row)
+           rows);
+      answers_served "after pool-put";
+      warm ();
+      let votes = List.init 8 (fun i -> calib_vote ~truth:1 i (i mod 10) 1) in
+      (match submit (Wire.Report { pool = "m"; votes }) with
+      | Wire.Report_result { applied = 8; stale = false; _ } -> ()
+      | r -> Alcotest.failf "report: %s" (Wire.encode_response r));
+      answers_served "after an applied report")
 
 (* ---- inline reads ---------------------------------------------------- *)
 
@@ -1992,6 +2115,14 @@ let memo_tests =
       queued_duplicate_test;
   ]
 
+let score_table_tests =
+  [
+    Alcotest.test_case "a warmed table answers fresh bytes" `Quick
+      warmed_table_test;
+    Alcotest.test_case "version bumps keep no stale score" `Quick
+      score_table_version_test;
+  ]
+
 let quality_plane_tests =
   [
     Alcotest.test_case "report bumps versions and invalidates" `Quick
@@ -2018,10 +2149,46 @@ let session_service_tests =
       session_rows_sum_shards_test;
   ]
 
+(* Numbers outside the documented grammar are refused on the wire, each
+   with one [err bad-request] that leaves the connection serving. *)
+let strict_numbers_test () =
+  with_server ~domains:1 ~queue_capacity:16 (fun service port ->
+      put_pool service "p" (test_pool 6);
+      let fd, ic, oc = connect port in
+      List.iter
+        (fun line ->
+          output_string oc (line ^ "\n");
+          flush oc;
+          match Wire.decode_response (input_line ic) with
+          | Ok (Wire.Error { code = Wire.Bad_request; _ }) -> ()
+          | Ok r -> Alcotest.failf "%s: answered %s" line (Wire.encode_response r)
+          | Error e -> Alcotest.failf "%s: undecodable reply %s" line e)
+        [
+          "select pool=p budget=0x1p3";
+          "select pool=p budget=4 seed=0x10";
+          "select pool=p budget=4 seed=0b101";
+          "select pool=p budget=4 seed=0o17";
+          "select pool=p budget=4 seed=+5";
+          "select pool=p budget=1_000";
+          "jq q=.5";
+          "jq q=5.";
+          "jq q=\r0.5";
+          "vote pool=p task=t worker=0o17 label=1";
+        ];
+      (match
+         roundtrip ic oc
+           (Wire.Select { pool = "p"; budget = 15.; prior = Wire.default_prior; seed = -3 })
+       with
+      | Wire.Select_result _ -> ()
+      | r -> Alcotest.failf "grammar select: %s" (Wire.encode_response r));
+      Unix.close fd)
+
 let service_tests =
   [
     Alcotest.test_case "tcp mixed queries match direct calls" `Quick
       integration_test;
+    Alcotest.test_case "numbers outside the grammar answer bad-request" `Quick
+      strict_numbers_test;
     Alcotest.test_case "tcp 3-label pool matches direct engine calls" `Quick
       multiclass_integration_test;
     Alcotest.test_case "overload degrades gracefully" `Quick overload_test;
@@ -2858,6 +3025,7 @@ let () =
       ("sessions", session_service_tests);
       ("quality plane", quality_plane_tests);
       ("jury memo", memo_tests);
+      ("score tables", score_table_tests);
       ("inline reads", inline_read_tests);
       ("fleet plane", fleet_plane_tests);
       ("stats schema", stats_schema_tests);
