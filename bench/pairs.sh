@@ -9,14 +9,15 @@
 # place.  Each pair runs both sides once, the parent first in odd pairs
 # and the working tree first in even ones, so a drift in host load
 # favours neither side.  Every run prints its end-to-end metrics (the
-# last line daemonbench writes) with its median steal share over the
-# round lines.  The summary gives, per metric, each side's median and
-# quartiles, the working tree's wins (pairs where it is strictly better in
-# the direction BENCHMARK.json names), the same count over quiet pairs
-# only, and whether the medians lie further apart than the parent's
-# quartile spread.  A pair is quiet when neither side's median steal
-# share is above 5%.  Defaults: parent HEAD, cold-solve, seed 4099, 30 s,
-# 10 pairs.
+# last line daemonbench writes) with its median steal share and median
+# reference-loop time (ref_loop, in ms) over the round lines.  The
+# summary gives, per metric and for steal and ref_loop, each side's
+# median and quartiles, the working tree's wins (pairs where it is
+# strictly better in the direction BENCHMARK.json names), the same count
+# over quiet pairs only, and whether the medians lie further apart than
+# the parent's quartile spread.  A pair is quiet when neither side's
+# median steal share is above 5%.  Defaults: parent HEAD, cold-solve,
+# seed 4099, 30 s, 10 pairs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -55,25 +56,32 @@ log=.bench_tmp/pairs-run.log
 : > "$results"
 
 # One run of [side] from checkout [dir]: append "pair side key value" rows
-# (the end-to-end metrics, correct, and the median round steal) to
-# $results and print them on one line.
+# (the end-to-end metrics, correct, and the median round steal and
+# ref_loop) to $results and print them on one line.
 run() {
   side=$1 dir=$2 pair=$3
   status=0
   sh "$dir/daemonbench/run.sh" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 > "$log" || status=$?
   awk -v pair="$pair" -v side="$side" -v status="$status" '
+    function median(a, n,   i, j, t) {
+      for (i = 1; i <= n; i++)
+        for (j = i + 1; j <= n; j++)
+          if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t }
+      return n == 0 ? 0 : (n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2)
+    }
     /^round [0-9]+:/ {
-      for (i = 1; i <= NF; i++)
-        if ($i == "steal") { v = $(i + 1); sub(/%/, "", v); steal[++n] = v / 100 }
+      n++
+      for (i = 1; i <= NF; i++) {
+        v = $(i + 1)
+        if ($i == "steal") { sub(/%/, "", v); steal[n] = v / 100 }
+        if ($i == "ref_loop") { sub(/ms/, "", v); ref[n] = v + 0 }
+      }
     }
     { last = $0 }
     END {
-      for (i = 1; i <= n; i++)
-        for (j = i + 1; j <= n; j++)
-          if (steal[j] < steal[i]) { t = steal[i]; steal[i] = steal[j]; steal[j] = t }
-      med = n == 0 ? 0 : (n % 2 ? steal[(n + 1) / 2] : (steal[n / 2] + steal[n / 2 + 1]) / 2)
-      print pair, side, "steal", med
+      print pair, side, "steal", median(steal, n)
+      print pair, side, "ref_loop", median(ref, n)
       print pair, side, "exit", status
       s = last
       if (match(s, /"correct": (true|false)/))

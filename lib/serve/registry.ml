@@ -1,15 +1,14 @@
-type standing = {
-  budget : float;
-  prior : float list;
-  seed : int;
-  mutable jury : int list;
-}
+type standing = { budget : float; prior : float list; seed : int }
 
+(* [calib] is touched only under [calib_lock]; the mutable fields only
+   under the registry lock. *)
 type entry = {
-  mutable pool : Engine.Pool.t;
   template : Engine.Pool.t; (* ids / names / costs as uploaded *)
-  mutable version : int;
   calib : Workers.Calib.t;
+  calib_lock : Mutex.t;
+  mutable pool : Engine.Pool.t;
+  mutable version : int;
+  mutable rows : (int * float * int) list; (* quality rows, last published *)
   mutable stale : bool;
   mutable standing : standing list; (* most recent first, bounded *)
 }
@@ -41,9 +40,12 @@ let create ?(calib_config = Workers.Calib.default_config) ?(standing_cap = 8) ()
     drift_total = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f
+
+(* [f] applied to the named entry, under one short hold of the registry
+   lock. *)
+let read t name f =
+  with_lock t (fun () -> Option.map f (Hashtbl.find_opt t.table name))
 
 let calib_base pool =
   match Engine.Pool.repr pool with
@@ -80,155 +82,118 @@ let rebuild_pool template calib =
                ~cost:(Workers.Confusion.cost c) ())
            cs)
 
+(* (worker id, current quality, votes seen) in pool order. *)
+let quality_rows template calib =
+  List.mapi
+    (fun i id -> (id, Workers.Calib.quality calib i, Workers.Calib.votes_seen calib i))
+    (Engine.Pool.ids template)
+
 let upsert t ~name pool =
+  let calib = Workers.Calib.create ~config:t.calib_config ~base:(calib_base pool) () in
+  let entry =
+    {
+      template = pool;
+      calib;
+      calib_lock = Mutex.create ();
+      pool;
+      version = 0;
+      rows = quality_rows pool calib;
+      stale = false;
+      standing = [];
+    }
+  in
   with_lock t (fun () ->
       t.generation <- t.generation + 1;
-      let entry =
-        {
-          pool;
-          template = pool;
-          version = t.generation;
-          calib = Workers.Calib.create ~config:t.calib_config ~base:(calib_base pool) ();
-          stale = false;
-          standing = [];
-        }
-      in
+      entry.version <- t.generation;
       Hashtbl.replace t.table name entry;
       t.generation)
 
-(* ---- calls under a held lock ----------------------------------------- *)
-
-type held = t
-
-let locked t f = with_lock t (fun () -> f t)
-
-let try_locked t f =
-  if Mutex.try_lock t.lock then (
-    match f t with
-    | v ->
-        Mutex.unlock t.lock;
-        Some v
-    | exception e ->
-        Mutex.unlock t.lock;
-        raise e)
-  else None
-
-module Held = struct
-  let find t name =
-    Option.map
-      (fun (e : entry) -> (e.pool, e.version))
-      (Hashtbl.find_opt t.table name)
-
-  let quality t ~name =
-    match Hashtbl.find_opt t.table name with
-    | None -> None
-    | Some entry ->
-        let ids = Array.of_list (Engine.Pool.ids entry.pool) in
-        let rows =
-          List.init (Array.length ids) (fun i ->
-              ( ids.(i),
-                Workers.Calib.quality entry.calib i,
-                Workers.Calib.votes_seen entry.calib i ))
-        in
-        Some (rows, entry.version)
-
-  let note_standing t ~name ~budget ~prior ~seed ~jury =
-    match Hashtbl.find_opt t.table name with
-    | None -> ()
-    | Some entry ->
-        let same s = s.budget = budget && s.prior = prior && s.seed = seed in
-        let rest = List.filter (fun s -> not (same s)) entry.standing in
-        let spec = { budget; prior; seed; jury } in
-        let keep = min (t.standing_cap - 1) (List.length rest) in
-        entry.standing <- spec :: List.filteri (fun i _ -> i < keep) rest
-end
-
-let find t name = locked t (fun h -> Held.find h name)
+let find t name = read t name (fun e -> (e.pool, e.version))
 
 let list t =
   with_lock t (fun () ->
       Hashtbl.fold
         (fun name (e : entry) acc -> (name, e.version, Engine.Pool.size e.pool) :: acc)
-        t.table []
-      |> List.sort compare)
+        t.table [])
+  |> List.sort compare
 
 let size t = with_lock t (fun () -> Hashtbl.length t.table)
+let quality t ~name = read t name (fun e -> (e.rows, e.version))
 
-(* Fold a completed calibration step into the entry: rebuild the pool and
-   bump the registry-wide generation so every version-keyed cache built
-   against the old quality state retires. *)
-let absorb t (entry : entry) (r : Workers.Calib.step_result) =
-  if r.applied > 0 || r.changed then begin
-    entry.pool <- rebuild_pool entry.template entry.calib;
-    t.generation <- t.generation + 1;
-    entry.version <- t.generation
-  end;
-  if r.drifted <> [] then begin
-    entry.stale <- true;
-    t.drift_total <- t.drift_total + List.length r.drifted
-  end;
-  {
-    version = entry.version;
-    applied = r.applied;
-    pending = Workers.Calib.pending entry.calib;
-    drifted = r.drifted;
-    stale = entry.stale;
-  }
-
-let ingest_of (entry : entry) =
-  {
-    version = entry.version;
-    applied = 0;
-    pending = Workers.Calib.pending entry.calib;
-    drifted = [];
-    stale = entry.stale;
-  }
-
-let report t ~name votes =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> Error `Unknown_pool
-      | Some entry -> (
-          match Workers.Calib.feed entry.calib votes with
-          | Error msg -> Error (`Invalid msg)
-          | Ok _ ->
-              if Workers.Calib.due entry.calib then
-                Ok (absorb t entry (Workers.Calib.step entry.calib))
-              else Ok (ingest_of entry)))
-
-let recal t ~name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> Error `Unknown_pool
-      | Some entry -> Ok (absorb t entry (Workers.Calib.recalibrate entry.calib)))
+let note_standing t ~name ~budget ~prior ~seed =
+  ignore
+    (read t name (fun entry ->
+         let same s = s.budget = budget && s.prior = prior && s.seed = seed in
+         let rest = List.filter (fun s -> not (same s)) entry.standing in
+         let keep = min (t.standing_cap - 1) (List.length rest) in
+         entry.standing <-
+           { budget; prior; seed } :: List.filteri (fun i _ -> i < keep) rest))
 
 let standing t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> []
-      | Some entry ->
-          List.map (fun s -> (s.budget, s.prior, s.seed, s.jury)) entry.standing)
+  Option.value ~default:[]
+    (read t name (fun entry ->
+         List.map (fun s -> (s.budget, s.prior, s.seed)) entry.standing))
 
-let refresh_standing t ~name ~juries =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> ()
-      | Some entry ->
-          List.iter
-            (fun (budget, prior, seed, jury) ->
-              List.iter
-                (fun s ->
-                  if s.budget = budget && s.prior = prior && s.seed = seed then
-                    s.jury <- jury)
-                entry.standing)
-            juries;
-          entry.stale <- false)
+(* ---- calibration ----------------------------------------------------- *)
 
-let clear_stale t ~name =
+(* Run [f] on the named entry under its calibration mutex, holding the
+   registry lock only to look the entry up.  [f] takes the registry lock
+   again to publish: the calibration mutex always comes first. *)
+let calibrating t ~name f =
+  match read t name Fun.id with
+  | None -> Error `Unknown_pool
+  | Some entry -> Mutex.protect entry.calib_lock (fun () -> f entry)
+
+(* The reply to a calibration call; under the registry lock. *)
+let reply_of (entry : entry) ~applied ~pending ~drifted =
+  { version = entry.version; applied; pending; drifted; stale = entry.stale }
+
+(* Publish a completed step of [entry]'s calibrator: the rebuilt pool and
+   quality rows are built first, and the registry lock is held only to
+   install them.  A step that applied votes or moved an estimate bumps the
+   registry-wide generation, so every version-keyed cache built against
+   the old quality state retires.  If a pool-put replaced the entry
+   meanwhile, the step publishes nothing and is answered with the replaced
+   entry's version: the put reset that calibrator anyway, so the call is
+   ordered before it. *)
+let absorb t ~name entry (r : Workers.Calib.step_result) =
+  let pool =
+    if r.applied > 0 || r.changed then Some (rebuild_pool entry.template entry.calib)
+    else None
+  in
+  let rows = quality_rows entry.template entry.calib in
+  let pending = Workers.Calib.pending entry.calib in
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | None -> ()
-      | Some entry -> entry.stale <- false)
+      (match Hashtbl.find_opt t.table name with
+      | Some e when e == entry ->
+          Option.iter
+            (fun pool ->
+              entry.pool <- pool;
+              t.generation <- t.generation + 1;
+              entry.version <- t.generation)
+            pool;
+          entry.rows <- rows;
+          if r.drifted <> [] then begin
+            entry.stale <- true;
+            t.drift_total <- t.drift_total + List.length r.drifted
+          end
+      | _ -> ());
+      reply_of entry ~applied:r.applied ~pending ~drifted:r.drifted)
+
+let report t ~name votes =
+  calibrating t ~name (fun entry ->
+      match Workers.Calib.feed entry.calib votes with
+      | Error msg -> Error (`Invalid msg)
+      | Ok pending ->
+          if Workers.Calib.due entry.calib then
+            Ok (absorb t ~name entry (Workers.Calib.step entry.calib))
+          else Ok (with_lock t (fun () -> reply_of entry ~applied:0 ~pending ~drifted:[])))
+
+let recal t ~name =
+  calibrating t ~name (fun entry ->
+      Ok (absorb t ~name entry (Workers.Calib.recalibrate entry.calib)))
+
+let clear_stale t ~name = ignore (read t name (fun entry -> entry.stale <- false))
 
 let stale_pools t =
   with_lock t (fun () ->

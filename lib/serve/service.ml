@@ -95,6 +95,27 @@ let inc_cap = 8
 let score_tables_cap = 16
 let score_table_capacity = 4096
 
+(* A shard's store: its state behind a mutex, and the gauge row [stats]
+   reads, measured from the state and republished before each locked call
+   releases the mutex, so a snapshot takes no store lock. *)
+type ('s, 'g) store = {
+  lock : Mutex.t;
+  state : 's;
+  gauges : 'g Atomic.t;
+  measure : 's -> 'g;
+}
+
+let store state measure =
+  { lock = Mutex.create (); state; gauges = Atomic.make (measure state); measure }
+
+let with_store store f =
+  Mutex.lock store.lock;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set store.gauges (store.measure store.state);
+      Mutex.unlock store.lock)
+    (fun () -> f store.state)
+
 type t = {
   registry : Registry.t;
   metrics : Metrics.t;
@@ -113,14 +134,14 @@ type t = {
   objective : Engine.Objective.t;
       (* OPTJS at [num_buckets]: what every jury row is solved with. *)
   inline_rr : int Atomic.t;   (* Spreads affinity-free requests. *)
-  session_stores : (Mutex.t * Session.Store.t) array;
+  session_stores : (Session.Store.t, Session.Store.stats) store array;
       (* One store per shard, indexed by the pool-name hash — the same
          affinity that routes session verbs, so a session's whole
          lifetime normally runs on its home executor's store.  The mutex
          (not shard ownership) is what guarantees consistency: a stolen
          or spilled session job still locks the session's *home* store,
          so state never splits across shards. *)
-  fleet_stores : (Mutex.t * (string, Fleet.Allocator.t) Hashtbl.t) array;
+  fleet_stores : ((string, Fleet.Allocator.t) Hashtbl.t, int list) store array;
       (* One allocator per pool, homed on the pool's affinity shard like
          session stores: same-pool fleet verbs serialize on one warm
          allocator (prices, proposal cache, memos), and the lock — not
@@ -135,10 +156,6 @@ let registry t = t.registry
 let metrics t = t.metrics
 let domains t = t.n_domains
 
-let with_lock lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let count t exec counter n = Metrics.add t.metrics ~shard:exec.shard counter n
 
 (* Sample [timer] with the nanoseconds elapsed since [t0]. *)
@@ -148,13 +165,15 @@ let time_since t exec timer t0 =
 (* ---- where a request runs -------------------------------------------- *)
 
 (* Every request is evaluated at a site: first on the submitting thread,
-   then, if that raises, on an executor, which waits for locks and
-   computes what no memo holds.  On the submitting thread a read takes
-   the registry and fleet-store locks only with try_lock, each for one
-   call, and answers only from memos and resident state: a busy lock or
-   anything to compute raises [Needs_executor], and the request is queued
-   instead.  Its memo hits are tallied in [hits] and counted once the
-   request is answered, so one that falls back is not counted twice. *)
+   then, if that raises, on an executor, which computes what no memo
+   holds.  The registry lock and the memo locks are held for one lookup or
+   one publication, never across a computation, so both sites take them
+   outright.  On the submitting thread a read answers only from memos and
+   resident state, and takes a fleet-store lock, which a fleet solve holds
+   throughout, only with try_lock: anything to compute or a busy store
+   raises [Needs_executor], and the request is queued instead.  Its memo
+   hits are tallied in [hits] and counted once the request is answered, so
+   one that falls back is not counted twice. *)
 type caller = { mutable hits : Metrics.counter list }
 type site = Executor of exec | Caller of caller
 
@@ -167,16 +186,6 @@ let count_hit t site counter =
   match site with
   | Executor exec -> count t exec counter 1
   | Caller c -> c.hits <- counter :: c.hits
-
-let on_registry t site f =
-  match site with
-  | Executor _ -> Registry.locked t.registry f
-  | Caller _ -> (
-      match Registry.try_locked t.registry f with
-      | Some v -> v
-      | None -> raise Needs_executor)
-
-let find_pool t site name = on_registry t site (fun h -> Registry.Held.find h name)
 
 (* ---- evaluation ------------------------------------------------------ *)
 
@@ -222,8 +231,8 @@ let task_of_prior prior = Engine.Task.make ~prior:(Array.of_list prior)
 
 (* The named pool and its version, or the error reply when it is unknown
    or its label count disagrees with the prior. *)
-let checked_pool t site ~name ~prior =
-  match find_pool t site name with
+let checked_pool t ~name ~prior =
+  match Registry.find t.registry name with
   | None -> Error (unknown_pool name)
   | Some (pool, version) ->
       let labels = Engine.Pool.labels pool in
@@ -234,7 +243,7 @@ let checked_pool t site ~name ~prior =
    executor's fixed-width incremental evaluator (reset + one add pass per
    member), a matrix-pool miss runs the tuple-key bucket estimator. *)
 let eval_jq_pool t site ~name ~prior ~num_buckets =
-  match checked_pool t site ~name ~prior with
+  match checked_pool t ~name ~prior with
   | Error reply -> reply
   | Ok (pool, version) ->
       let key = (name, version, prior, num_buckets) in
@@ -355,21 +364,20 @@ let solve_select t site ~pool ~version ~pool_name ~budget ~prior ~seed =
       row
 
 let eval_select t site ~name ~budget ~prior ~seed =
-  match checked_pool t site ~name ~prior with
+  match checked_pool t ~name ~prior with
   | Error reply -> reply
   | Ok (pool, version) ->
       let row =
         solve_select t site ~pool ~version ~pool_name:name ~budget ~prior ~seed
       in
-      on_registry t site (fun h ->
-          Registry.Held.note_standing h ~name ~budget ~prior ~seed ~jury:row.ids);
+      Registry.note_standing t.registry ~name ~budget ~prior ~seed;
       Wire.Select_result { ids = row.ids; score = row.score; cost = row.cost }
 
 (* Each row is solved exactly as the equivalent [select] (same memo key,
    fresh RNG from the same seed on a miss), so a table is byte-wise
    consistent with row-by-row selects. *)
 let eval_table t site ~name ~budgets ~prior ~seed =
-  match checked_pool t site ~name ~prior with
+  match checked_pool t ~name ~prior with
   | Error reply -> reply
   | Ok (pool, version) ->
       let rows =
@@ -386,33 +394,25 @@ let eval_table t site ~name ~budgets ~prior ~seed =
 
 (* ---- quality plane --------------------------------------------------- *)
 
-(* Drift-triggered re-selection: re-solve every standing jury recorded for
-   the pool against its freshly bumped version.  Each spec goes through
-   [solve_select] exactly as the equivalent [select] would (same
-   version-keyed memo row), so the refreshed juries are byte-identical to
-   what a client re-issuing the original requests would get. *)
+(* Drift-triggered re-selection: re-solve every standing spec recorded for
+   the pool against its freshly bumped version, then clear the stale flag.
+   Each spec goes through [solve_select] exactly as the equivalent
+   [select] would, so it fills the version-keyed memo row a client
+   re-issuing the original request reads. *)
 let reselect_standing t exec ~name =
   match Registry.find t.registry name with
   | None -> 0
-  | Some (pool, version) -> (
-      match Registry.standing t.registry name with
-      | [] ->
-          Registry.clear_stale t.registry ~name;
-          0
-      | specs ->
-          let juries =
-            List.map
-              (fun (budget, prior, seed, _old) ->
-                let row =
-                  solve_select t (Executor exec) ~pool ~version ~pool_name:name
-                    ~budget ~prior ~seed
-                in
-                (budget, prior, seed, row.ids))
-              specs
-          in
-          Registry.refresh_standing t.registry ~name ~juries;
-          count t exec Metrics.Recal_runs (List.length juries);
-          List.length juries)
+  | Some (pool, version) ->
+      let specs = Registry.standing t.registry name in
+      List.iter
+        (fun (budget, prior, seed) ->
+          ignore
+            (solve_select t (Executor exec) ~pool ~version ~pool_name:name ~budget
+               ~prior ~seed))
+        specs;
+      Registry.clear_stale t.registry ~name;
+      count t exec Metrics.Recal_runs (List.length specs);
+      List.length specs
 
 (* Run one calibration call against the registry: time it as an ingest,
    count the votes it applied, and re-solve the standing juries it left
@@ -450,15 +450,15 @@ let eval_recal t exec ~name =
   | Ok reply -> reply
   | Error `Unknown_pool -> unknown_pool name
 
-let eval_quality t site ~name =
-  match on_registry t site (fun h -> Registry.Held.quality h ~name) with
+let eval_quality t ~name =
+  match Registry.quality t.registry ~name with
   | None -> unknown_pool name
   | Some (workers, version) -> Wire.Quality_result { name; version; workers }
 
 (* Decided sessions feed the quality plane exactly once: their votes enter
    the pool's calibrator as gold examples when [decide] carried a truth
    label, ungraded otherwise.  Runs after the session store lock is
-   released (the calibrator has its own lock, and a drift flag here can
+   released (the calibrator has its own mutex, and a drift flag here can
    trigger a solver run). *)
 let ingest_session_votes t exec ~pool_name ~task_name ~truth votes =
   let task_id = Hashtbl.hash task_name in
@@ -531,8 +531,7 @@ let eval_session_open t exec ~pool_name ~task_name ~prior ~budget ~confidence
         with
         | Error msg -> bad_request msg
         | Ok session ->
-            let lock, store = session_store t pool_name in
-            with_lock lock (fun () ->
+            with_store (session_store t pool_name) (fun store ->
                 match
                   Session.Store.open_session store ~pool:pool_name
                     ~task:task_name ~session ~now:(Clock.now ())
@@ -558,8 +557,7 @@ let with_session t ~pool_name ~task_name f =
   match Registry.find t.registry pool_name with
   | None -> unknown_pool pool_name
   | Some (_, version) ->
-      let lock, store = session_store t pool_name in
-      with_lock lock (fun () ->
+      with_store (session_store t pool_name) (fun store ->
           match
             Session.Store.find store ~pool:pool_name ~task:task_name
               ~now:(Clock.now ()) ~version
@@ -634,8 +632,7 @@ let eval_session_decide t exec ~pool_name ~task_name ~truth =
   response
 
 let eval_session_close t ~pool_name ~task_name =
-  let lock, store = session_store t pool_name in
-  with_lock lock (fun () ->
+  with_store (session_store t pool_name) (fun store ->
       match Session.Store.remove store ~pool:pool_name ~task:task_name with
       | None ->
           unknown_session
@@ -657,26 +654,27 @@ let session_verb t exec f =
    the same version rule as every other per-pool cache.  The allocator
    fans inner solves itself, so it runs with [domains = 1] here: the
    service's parallelism is across shards, not within one verb.  On the
-   submitting thread the store lock is only tried, and only an allocator
-   already at the registry's version is used: creating one, or resyncing
-   it (a full re-solve), is left to an executor. *)
+   submitting thread the store lock, which a fleet solve holds throughout,
+   is only tried, and only an allocator already at the registry's version
+   is read: creating one, or resyncing it (a full re-solve), is left to an
+   executor.  Such a read changes nothing, so it republishes no gauges. *)
 let with_fleet t site ~pool_name f =
-  match find_pool t site pool_name with
+  match Registry.find t.registry pool_name with
   | None -> unknown_pool pool_name
   | Some (pool, version) -> (
-      let lock, store = fleet_store t pool_name in
+      let fleet = fleet_store t pool_name in
       match site with
       | Caller _ ->
-          if not (Mutex.try_lock lock) then raise Needs_executor;
+          if not (Mutex.try_lock fleet.lock) then raise Needs_executor;
           Fun.protect
-            ~finally:(fun () -> Mutex.unlock lock)
+            ~finally:(fun () -> Mutex.unlock fleet.lock)
             (fun () ->
-              match Hashtbl.find_opt store pool_name with
+              match Hashtbl.find_opt fleet.state pool_name with
               | Some alloc when Fleet.Allocator.pool_version alloc = version ->
                   f alloc
               | _ -> raise Needs_executor)
       | Executor _ ->
-          with_lock lock (fun () ->
+          with_store fleet (fun store ->
               let alloc =
                 match Hashtbl.find_opt store pool_name with
                 | Some a ->
@@ -763,69 +761,51 @@ let eval_fleet_release t exec ~pool_name ~task_name ~decided =
               freed = List.length assignment.jury;
             })
 
-(* Summed allocator counters across every shard store — the [fleet_*]
-   gauge rows of [stats].  Runs on the snapshotting thread, taking each
-   store's lock in turn. *)
-let fleet_gauges t =
-  let pools = ref 0
-  and tasks = ref 0
-  and claimed = ref 0
-  and priced = ref 0
-  and capacity = ref 0 in
-  let full = ref 0
-  and delta = ref 0
-  and rounds = ref 0
-  and inner = ref 0
-  and hits = ref 0
-  and conflicts = ref 0
-  and resyncs = ref 0 in
-  Array.iter
-    (fun (lock, store) ->
-      with_lock lock (fun () ->
-          Hashtbl.iter
-            (fun _ alloc ->
-              incr pools;
-              tasks := !tasks + Fleet.Allocator.task_count alloc;
-              claimed := !claimed + Fleet.Allocator.claimed alloc;
-              priced := !priced + Fleet.Allocator.priced alloc;
-              capacity :=
-                !capacity + Engine.Pool.size (Fleet.Allocator.pool alloc);
-              let s = Fleet.Allocator.stats alloc in
-              full := !full + s.Fleet.Allocator.full_solves;
-              delta := !delta + s.Fleet.Allocator.delta_solves;
-              rounds := !rounds + s.Fleet.Allocator.price_rounds;
-              inner := !inner + s.Fleet.Allocator.inner_solves;
-              hits := !hits + s.Fleet.Allocator.proposal_hits;
-              conflicts := !conflicts + s.Fleet.Allocator.conflicts;
-              resyncs := !resyncs + s.Fleet.Allocator.resyncs)
-            store))
-    t.fleet_stores;
-  let f = float_of_int in
+(* The [fleet_*] counters, each summed over a shard store's allocators:
+   the row a fleet store publishes, in this order.  [stats] adds up the
+   shards' rows, and derives [fleet_contention] from the priced count and
+   the pools' total size. *)
+let fleet_counters : (string * (Fleet.Allocator.t -> int)) list =
+  let stat f alloc = f (Fleet.Allocator.stats alloc) in
   [
-    ("fleet_pools", f !pools);
-    ("fleet_tasks", f !tasks);
-    ("fleet_claimed", f !claimed);
-    ("fleet_priced", f !priced);
-    ( "fleet_contention",
-      if !capacity = 0 then 0. else f !priced /. f !capacity );
-    ("fleet_full_solves", f !full);
-    ("fleet_delta_solves", f !delta);
-    ("fleet_price_rounds", f !rounds);
-    ("fleet_inner_solves", f !inner);
-    ("fleet_proposal_hits", f !hits);
-    ("fleet_conflicts", f !conflicts);
-    ("fleet_resyncs", f !resyncs);
+    ("fleet_pools", fun _ -> 1);
+    ("fleet_tasks", Fleet.Allocator.task_count);
+    ("fleet_claimed", Fleet.Allocator.claimed);
+    ("fleet_priced", Fleet.Allocator.priced);
+    ("fleet_full_solves", stat (fun s -> s.full_solves));
+    ("fleet_delta_solves", stat (fun s -> s.delta_solves));
+    ("fleet_price_rounds", stat (fun s -> s.price_rounds));
+    ("fleet_inner_solves", stat (fun s -> s.inner_solves));
+    ("fleet_proposal_hits", stat (fun s -> s.proposal_hits));
+    ("fleet_conflicts", stat (fun s -> s.conflicts));
+    ("fleet_resyncs", stat (fun s -> s.resyncs));
+    ("capacity", fun alloc -> Engine.Pool.size (Fleet.Allocator.pool alloc));
   ]
 
-(* Summed session-store counters across every shard store — the
-   [sessions_*] rows of [stats].  Runs on the snapshotting thread, taking
-   each store's lock in turn. *)
+let fleet_row allocs =
+  List.map
+    (fun (_, count) -> Hashtbl.fold (fun _ alloc n -> n + count alloc) allocs 0)
+    fleet_counters
+
+let fleet_gauges t =
+  let sums =
+    Array.fold_left
+      (fun acc fleet -> List.map2 ( + ) acc (Atomic.get fleet.gauges))
+      (List.map (fun _ -> 0) fleet_counters)
+      t.fleet_stores
+  in
+  let rows = List.map2 (fun (key, _) n -> (key, float_of_int n)) fleet_counters sums in
+  let capacity = List.assoc "capacity" rows in
+  ( "fleet_contention",
+    if capacity = 0. then 0. else List.assoc "fleet_priced" rows /. capacity )
+  :: List.remove_assoc "capacity" rows
+
+(* Summed session-store counters across every shard store: the
+   [sessions_*] rows of [stats]. *)
 let session_gauges t =
   let s =
     Array.fold_left
-      (fun acc (lock, store) ->
-        Session.Store.add_stats acc
-          (with_lock lock (fun () -> Session.Store.stats store)))
+      (fun acc sessions -> Session.Store.add_stats acc (Atomic.get sessions.gauges))
       Session.Store.zero_stats t.session_stores
   in
   let f = float_of_int in
@@ -883,9 +863,9 @@ let eval_pool_put t ~name workers =
 
 (* The one evaluation of every verb, at [site].  An arm that calls
    [executor site] is always queued; every other verb is answered on the
-   submitting thread whenever its memos and try-locks allow.  The
-   control-plane verbs (ping, stats, pool-list, pool-put) need no
-   executor and take their locks outright. *)
+   submitting thread whenever its memos and the fleet store's try-lock
+   allow.  The control-plane verbs (ping, stats, pool-list, pool-put)
+   need no executor. *)
 let eval t site request =
   match request with
   | Wire.Ping -> Wire.Pong
@@ -918,7 +898,7 @@ let eval t site request =
       session_verb t (executor site) (fun _ ->
           eval_session_close t ~pool_name:pool ~task_name:task)
   | Wire.Report { pool; votes } -> eval_report t (executor site) ~name:pool votes
-  | Wire.Quality { pool } -> eval_quality t site ~name:pool
+  | Wire.Quality { pool } -> eval_quality t ~name:pool
   | Wire.Recal { pool } -> eval_recal t (executor site) ~name:pool
   | Wire.Fleet_submit { pool; task; prior; budget; tier; target } ->
       eval_fleet_submit t (executor site) ~pool_name:pool ~task_name:task ~prior
@@ -1000,10 +980,11 @@ let create ?domains:(n_domains = recommended_domains ()) ?(queue_capacity = 256)
       inline_rr = Atomic.make 0;
       session_stores =
         Array.init n_domains (fun _ ->
-            ( Mutex.create (),
-              Session.Store.create ~cap:session_cap ~ttl:session_ttl () ));
+            store
+              (Session.Store.create ~cap:session_cap ~ttl:session_ttl ())
+              Session.Store.stats);
       fleet_stores =
-        Array.init n_domains (fun _ -> (Mutex.create (), Hashtbl.create 4));
+        Array.init n_domains (fun _ -> store (Hashtbl.create 4) fleet_row);
       shutdown_lock = Mutex.create ();
       closed = false;
       workers = [];
@@ -1090,7 +1071,7 @@ let submit_async t request ~k = dispatch t request ~complete:k
 
 let shutdown t =
   let workers =
-    with_lock t.shutdown_lock (fun () ->
+    Mutex.protect t.shutdown_lock (fun () ->
         if t.closed then []
         else begin
           t.closed <- true;

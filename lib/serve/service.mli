@@ -4,16 +4,21 @@
     queue per executor {!Domain}, affinity-routed by pool name, with
     spill and work-stealing) fed by {!submit}.  Every verb has one
     evaluation, and a request is answered on the submitting thread when
-    its evaluation needs no executor and no lock another thread holds;
-    otherwise it is queued.  So the control-plane verbs (ping, stats,
-    pool upsert/list) stay responsive however backed up the compute plane
-    is, as do reads that need no computation: a [select] or a [table]
-    whose every row is in the jury memo, a pool [jq] in the [jq] memo,
-    [quality], and [fleet-status] once the pool's allocator is at the
-    registry's version.  A read takes the registry and fleet-store locks
-    only with [try_lock] there, so a lock held by compute (a calibration
-    step, a fleet solve) queues it instead of making it wait; the control
-    verbs take their locks outright.  Compute requests (a memo miss,
+    its evaluation needs no executor; otherwise it is queued.  So the
+    control-plane verbs (ping, stats, pool upsert/list) stay responsive
+    however backed up the compute plane is, as do reads that need no
+    computation: a [select] or a [table] whose every row is in the jury
+    memo, a pool [jq] in the [jq] memo, [quality], and [fleet-status]
+    once the pool's allocator is at the registry's version.  One lock
+    rule keeps them from waiting behind compute: the registry lock and
+    every memo lock are held for one lookup or one publication, never
+    across a computation, so every caller takes them outright (a
+    calibration step runs under its pool's own mutex, see {!Registry}),
+    and [stats] reads the gauge rows each shard store republishes as a
+    locked call on it ends, taking no store lock.  Only a fleet store's
+    lock is held through a computation (a fleet solve), so a
+    [fleet-status] on the submitting thread only tries it and is queued
+    when it is busy.  Compute requests (a memo miss,
     inline [jq], the session verbs open/vote/advise/decide/close, and the
     quality-plane and fleet writes) are enqueued
     on their pool's shard; when every shard with room is full the reply

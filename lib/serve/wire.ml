@@ -249,6 +249,14 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* A %-escape is exactly two hex digits. *)
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Some (Char.code c - Char.code '0')
+  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+  | _ -> None
+
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -257,11 +265,11 @@ let unescape s =
     else if s.[i] = '%' then
       if i + 2 >= n then fail "message: truncated %-escape"
       else
-        match int_of_string_opt (Printf.sprintf "0x%c%c" s.[i + 1] s.[i + 2]) with
-        | Some code ->
-            Buffer.add_char buf (Char.chr code);
+        match (hex_digit s.[i + 1], hex_digit s.[i + 2]) with
+        | Some hi, Some lo ->
+            Buffer.add_char buf (Char.chr ((16 * hi) + lo));
             go (i + 3)
-        | None -> fail "message: bad %-escape"
+        | _ -> fail "message: bad %-escape"
     else begin
       Buffer.add_char buf s.[i];
       go (i + 1)

@@ -37,7 +37,7 @@ let spec ?(tier = 0) ?(target = 0.) ~id ~alpha ~budget () =
 let rows_gen lo hi =
   QCheck2.Gen.(
     int_range lo hi >>= fun n ->
-    list_size (return n) (pair (float_range 0.55 0.95) (float_range 0.5 3.)))
+    list_size (return n) (pair (Qgen.float_in 0.55 0.95) (float_range 0.5 3.)))
 
 let spec_params_gen =
   QCheck2.Gen.(

@@ -14,7 +14,7 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let quality_gen = QCheck2.Gen.float_range 0.01 0.99
-let reliable_gen = QCheck2.Gen.float_range 0.5 0.99
+let reliable_gen = Qgen.float_in 0.5 0.99
 let alpha_gen = QCheck2.Gen.float_range 0. 1.
 
 let jury_gen ?(min = 1) ?(max = 8) g =
@@ -244,7 +244,7 @@ let test_bucket_validation () =
 
 let test_bucketize_nearest =
   qtest "bucketize snaps to the nearest bucket"
-    (jury_gen ~min:1 ~max:10 (QCheck2.Gen.float_range 0.5 0.99))
+    (jury_gen ~min:1 ~max:10 (Qgen.float_in 0.5 0.99))
     (fun qs ->
       let logits = Array.map Prob.Log_space.logit qs in
       let buckets, delta = Jq.Bucket.bucketize ~num_buckets:50 logits in

@@ -14,19 +14,21 @@ let w ~id ~q ~c = Workers.Worker.make ~id ~quality:q ~cost:c ()
 
 let fig1 = Workers.Generator.figure1_pool ()
 
-(* Random pools for property tests: up to 8 workers, reliable qualities,
-   costs in (0, 2]. *)
-let pool_gen =
+(* Random pools for property tests: up to [max] workers, reliable
+   qualities, costs in (0, 2]. *)
+let pool_gen_of ~max =
   QCheck2.Gen.(
-    int_range 1 8 >>= fun n ->
+    int_range 1 max >>= fun n ->
     array_size (return n)
-      (pair (float_range 0.5 0.99) (float_range 0.05 2.))
+      (pair (Qgen.float_in 0.5 0.99) (float_range 0.05 2.))
     >>= fun specs ->
     return
       (Workers.Pool.of_list
          (List.mapi
             (fun id (q, c) -> w ~id ~q ~c)
             (Array.to_list specs))))
+
+let pool_gen = pool_gen_of ~max:8
 
 let budget_gen = QCheck2.Gen.float_range 0. 6.
 
@@ -595,9 +597,11 @@ let test_beam_wide_is_exact =
       let star = Jsp.Enumerate.solve objective ~alpha:0.5 ~budget pool in
       Float.abs (beam.Jsp.Solver.score -. star.Jsp.Solver.score) < 1e-9)
 
+(* Beam search promises greedy's score only where it is exhaustive: with
+   at most 5 workers its 32 states hold every subset. *)
 let test_beam_dominates_greedy =
   qtest ~count:40 "beam(32) at least as good as greedy"
-    (QCheck2.Gen.pair pool_gen budget_gen) (fun (pool, budget) ->
+    (QCheck2.Gen.pair (pool_gen_of ~max:5) budget_gen) (fun (pool, budget) ->
       let objective = Engine.Objective.bv_bucket () in
       let beam = Jsp.Beam.solve objective ~alpha:0.5 ~budget pool in
       let greedy = Jsp.Greedy.best_of_all objective ~alpha:0.5 ~budget pool in

@@ -16,7 +16,7 @@ let fig1 = Workers.Generator.figure1_pool ()
 let pool_gen =
   QCheck2.Gen.(
     int_range 1 8 >>= fun n ->
-    array_size (return n) (pair (float_range 0.5 0.99) (float_range 0.05 2.))
+    array_size (return n) (pair (Qgen.float_in 0.5 0.99) (float_range 0.05 2.))
     >>= fun specs ->
     return
       (Workers.Pool.of_list

@@ -87,7 +87,7 @@ let request_gen =
           name_gen >>= fun task ->
           prior_gen >>= fun prior ->
           cost_gen >>= fun budget ->
-          float_range 0.6 1. >>= fun confidence ->
+          Qgen.float_in 0.6 1. >>= fun confidence ->
           float_range 0. 1. >>= fun gain_floor ->
           oneofl Session.Policy.all >>= fun policy ->
           return
@@ -378,6 +378,17 @@ let codec_units =
       "fleet-submit pool=p task=t prior=0.3,0.7 budget=6 tier=-1" None;
     check_decode "fleet-release bad flag"
       "fleet-release pool=p task=t decide=yes" None;
+    Alcotest.test_case "a %-escape is exactly two hex digits" `Quick (fun () ->
+        let decode message = Wire.decode_response ("err bad-request message=" ^ message) in
+        (match decode "a%41%7eb" with
+        | Ok (Wire.Error { message; _ }) -> Alcotest.(check string) "decoded" "aA~b" message
+        | _ -> Alcotest.fail "a%41%7eb does not decode");
+        List.iter
+          (fun message ->
+            match decode message with
+            | Error _ -> ()
+            | Ok r -> Alcotest.failf "%s decodes as %s" message (Wire.encode_response r))
+          [ "a%1_b"; "a%_1b"; "a%g0b" ]);
     Alcotest.test_case "valid_pool_name" `Quick (fun () ->
         Alcotest.(check bool) "ok" true (Wire.valid_pool_name "A_b.c-9");
         Alcotest.(check bool) "empty" false (Wire.valid_pool_name "");
@@ -1914,23 +1925,11 @@ let submit_await service request f =
 
 let with_thread_id reply = (reply, Thread.id (Thread.self ()))
 
-(* [request]'s reply through the queue.  While this thread holds the
-   registry lock no read can be answered inline, so the request is
-   queued; the executor answers it once the lock is released. *)
-let rec queued_reply service request =
-  match
-    Serve.Registry.try_locked (Serve.Service.registry service) (fun _ ->
-        submit_await service request with_thread_id)
-  with
-  | None ->
-      Thread.yield ();
-      queued_reply service request
-  | Some wait ->
-      let reply, on = wait () in
-      if on = Thread.id (Thread.self ()) then
-        Alcotest.failf "%s was answered inline under a held registry lock"
-          (Wire.encode_request request);
-      reply
+(* [request]'s first reply on an idle service, and whether an executor
+   gave it. *)
+let first_reply service request =
+  let reply, on = submit_await service request with_thread_id () in
+  (reply, on <> Thread.id (Thread.self ()))
 
 (* Start a slow cold select on [service]'s pool "big" and wait until the
    executor has taken it off the queue. *)
@@ -1944,15 +1943,31 @@ let occupy_executor service =
 
 (* With its one executor busy on a slow cold select and its one queue slot
    taken, a service still answers every warm read, byte-equal to the
-   reply the same request got through the queue, while a request that
-   needs a solve is refused. *)
+   reply the same request got first on the idle service.  That first
+   reply came from an executor for every read but [quality], which is
+   always answered inline, and the task [fleet-status], which finds the
+   allocator the pool [fleet-status] resynced.  A request that needs a
+   solve is refused. *)
 let saturated_warm_reads_test () =
   let service = Serve.Service.create ~domains:1 ~queue_capacity:1 () in
   Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
       let submit = Serve.Service.submit service in
       put_pool service "big" (test_pool 120);
       prime_warm_pool service;
-      let queued = List.map (fun (_, request) -> queued_reply service request) warm_reads in
+      (* Putting the warm pool again leaves its fleet allocator behind the
+         registry's version, so the first fleet-status resyncs it on an
+         executor. *)
+      put_pool service warm_pool (test_pool 12);
+      let queued =
+        List.map
+          (fun (name, request) ->
+            let reply, on_executor = first_reply service request in
+            let inline = List.mem name [ "quality"; "fleet-status task" ] in
+            Alcotest.(check bool) (name ^ " first answered by an executor") (not inline)
+              on_executor;
+            reply)
+          warm_reads
+      in
       let cold seed =
         Wire.Select { pool = warm_pool; budget = 9.; prior = Wire.default_prior; seed }
       in
@@ -2091,6 +2106,275 @@ let raising_continuation_test () =
         (Serve.Service.submit service
            (Wire.Jq { source = Wire.Inline [ 0.7 ]; prior = Wire.default_prior; num_buckets = 50 }));
       Alcotest.(check int) "continuation calls" 1 (Atomic.get calls))
+
+(* ---- the lock rule ------------------------------------------------- *)
+
+(* Every registry call holds the registry lock for one lookup or one
+   publication, never across a calibration step, and [stats] reads the
+   shard stores' published gauges; so no read waits behind compute. *)
+
+(* A calibrator that only buffers until a [recal]. *)
+let buffering = { Workers.Calib.default_config with Workers.Calib.batch = max_int }
+
+let slow_votes = 40_000
+
+(* Put pool "slow", 200 workers, and buffer [slow_votes] votes on it: 200
+   tasks, each answered by every worker, so that a [recal] runs EM over
+   all of them. *)
+let load_slow_pool service =
+  put_pool service "slow" (test_pool 200);
+  let votes =
+    List.init slow_votes (fun i -> calib_vote (i / 200) (i mod 200) (i * 7919 / 13 mod 2))
+  in
+  match Serve.Service.submit service (Wire.Report { pool = "slow"; votes }) with
+  | Wire.Report_result { applied = 0; _ } -> ()
+  | r -> Alcotest.failf "report: %s" (Wire.encode_response r)
+
+(* Start a [recal] of pool "slow" and wait until the executor has taken it
+   off the queue.  The returned function waits for its reply and gives it
+   with the instant its continuation ran. *)
+let start_recal service =
+  let wait =
+    submit_await service (Wire.Recal { pool = "slow" }) (fun reply ->
+        (reply, Serve.Clock.now ()))
+  in
+  while stat_of service "queue_len" > 0. do
+    Thread.yield ()
+  done;
+  wait
+
+(* Submit [request] from this thread and require its continuation to have
+   run there before [submit_async] returned; give the reply, the instant
+   it ran and how long the submission took. *)
+let answered_here service (name, request) =
+  let caller = Thread.id (Thread.self ()) and ran = ref None in
+  let t0 = Serve.Clock.now () in
+  Serve.Service.submit_async service request ~k:(fun reply ->
+      ran := Some (reply, Thread.id (Thread.self ()), Serve.Clock.now ()));
+  let took = Serve.Clock.now () -. t0 in
+  match !ran with
+  | Some (reply, on, at) when on = caller -> (name, reply, at, took)
+  | _ -> Alcotest.failf "%s was not answered on the calling thread" name
+
+let recal_applied_all what = function
+  | Wire.Report_result { applied; version; _ } when applied = slow_votes -> version
+  | r -> Alcotest.failf "%s: %s" what (Wire.encode_response r)
+
+(* While a [recal] runs EM on a large pool, the control verbs and the
+   reads of any pool, the recalibrating one's [quality] included, are
+   answered on the calling thread before the [recal] replies, each in
+   under a tenth of its time. *)
+let reads_during_recal_test () =
+  with_service ~calib_config:buffering (fun service ->
+      load_slow_pool service;
+      put_pool service "other" (test_pool 12);
+      let select =
+        Wire.Select { pool = "other"; budget = 12.; prior = Wire.default_prior; seed = 3 }
+      in
+      ignore (Serve.Service.submit service select);
+      let t0 = Serve.Clock.now () in
+      let recal = start_recal service in
+      let answers =
+        List.map (answered_here service)
+          [
+            ("ping", Wire.Ping);
+            ("stats", Wire.Stats);
+            ("pool-list", Wire.Pool_list);
+            ("pool-put", Wire.Pool_put { name = "third"; workers = wire_workers (test_pool 4) });
+            ("quality of the recalibrating pool", Wire.Quality { pool = "slow" });
+            ("quality", Wire.Quality { pool = "other" });
+            ("memo-hit select", select);
+          ]
+      in
+      let reply, replied = recal () in
+      ignore (recal_applied_all "recal" reply);
+      let recal_took = replied -. t0 in
+      List.iter
+        (fun (name, reply, at, took) ->
+          (match reply with
+          | Wire.Error _ -> Alcotest.failf "%s: %s" name (Wire.encode_response reply)
+          | _ -> ());
+          if at >= replied then Alcotest.failf "%s was answered after the recal" name;
+          if took >= recal_took /. 10. then
+            Alcotest.failf "%s took %.1f ms against the recal's %.1f ms" name
+              (1e3 *. took) (1e3 *. recal_took))
+        answers)
+
+(* A [pool-put] of the pool being recalibrated is answered at once, and
+   supersedes the step: once the [recal] replies, with the replaced
+   pool's version, the registry serves the put's pool and version. *)
+let put_supersedes_recal_test () =
+  with_service ~calib_config:buffering (fun service ->
+      load_slow_pool service;
+      let t0 = Serve.Clock.now () in
+      let recal = start_recal service in
+      (* Let the executor look the pool up before it is replaced. *)
+      Thread.delay 0.01;
+      let replacement = test_pool 12 in
+      let put =
+        ("pool-put", Wire.Pool_put { name = "slow"; workers = wire_workers replacement })
+      in
+      let _, reply, put_at, took = answered_here service put in
+      let put_version =
+        match reply with
+        | Wire.Pool_info { version; size = 12; _ } -> version
+        | r -> Alcotest.failf "pool-put: %s" (Wire.encode_response r)
+      in
+      let reply, replied = recal () in
+      let recal_version = recal_applied_all "recal" reply in
+      if put_at >= replied then Alcotest.fail "the pool-put was answered after the recal";
+      if took >= (replied -. t0) /. 10. then
+        Alcotest.failf "the pool-put took %.1f ms against the recal's %.1f ms"
+          (1e3 *. took) (1e3 *. (replied -. t0));
+      Alcotest.(check bool) "the recal answers the replaced version" true
+        (recal_version < put_version);
+      (match Serve.Registry.find (Serve.Service.registry service) "slow" with
+      | Some (pool, version) -> (
+          Alcotest.(check int) "served version is the put's" put_version version;
+          match Engine.Pool.repr pool with
+          | Engine.Pool.Binary served ->
+              Alcotest.(check (array (float 0.)))
+                "served qualities are the put's"
+                (Workers.Pool.qualities replacement) (Workers.Pool.qualities served)
+          | Engine.Pool.Matrix _ -> Alcotest.fail "pool slow is not scalar")
+      | None -> Alcotest.fail "pool slow vanished");
+      match Serve.Service.submit service (Wire.Quality { pool = "slow" }) with
+      | Wire.Quality_result { version; workers; _ } ->
+          Alcotest.(check int) "quality version" put_version version;
+          Alcotest.(check int) "quality rows" 12 (List.length workers)
+      | r -> Alcotest.failf "quality: %s" (Wire.encode_response r))
+
+(* [stats] reads the fleet stores' published gauges, so a burst of
+   [fleet-submit]s, each holding its store's lock through its solve, does
+   not hold it up.  Sent while the second of them solves, it is answered
+   on the caller before the burst's last reply, in under a tenth of the
+   time between the burst's first and last replies. *)
+let stats_during_fleet_burst_test () =
+  with_service (fun service ->
+      put_pool service "fleet" (test_pool 120);
+      let burst = 40 and replied = Atomic.make 0 in
+      let waits =
+        List.init burst (fun i ->
+            submit_await service
+              (Wire.Fleet_submit
+                 { pool = "fleet"; task = Printf.sprintf "t%d" i; prior = Wire.default_prior;
+                   budget = 30.; tier = 0; target = 0. })
+              (fun reply ->
+                Atomic.incr replied;
+                (reply, Serve.Clock.now ())))
+      in
+      while Atomic.get replied = 0 do
+        Thread.yield ()
+      done;
+      Thread.delay 0.002;
+      let _, reply, _, took = answered_here service ("stats", Wire.Stats) in
+      let replied_before = Atomic.get replied in
+      let instants =
+        List.map
+          (fun wait ->
+            match wait () with
+            | Wire.Fleet_task _, at -> at
+            | r, _ -> Alcotest.failf "fleet-submit: %s" (Wire.encode_response r))
+          waits
+      in
+      (match reply with
+      | Wire.Stats_result _ -> ()
+      | r -> Alcotest.failf "stats: %s" (Wire.encode_response r));
+      if replied_before = burst then
+        Alcotest.fail "stats was answered after the burst's last reply";
+      let first = List.fold_left Float.min infinity instants
+      and last = List.fold_left Float.max neg_infinity instants in
+      if took >= (last -. first) /. 10. then
+        Alcotest.failf "stats took %.2f ms against the burst's %.2f ms" (1e3 *. took)
+          (1e3 *. (last -. first));
+      Alcotest.(check (float 0.)) "published fleet_tasks" (float_of_int burst)
+        (stat_of service "fleet_tasks"))
+
+(* Two domains on one registry pool: one reports batches that each run a
+   calibration step, the other puts 8- and 12-worker pools in turn until
+   the reports are done.  Each domain's replies carry rising versions,
+   every quality readback has the rows of the pool its version was put
+   with, and a last batch with no put beside it publishes its step. *)
+let calibration_stress_test () =
+  let registry =
+    Serve.Registry.create
+      ~calib_config:{ Workers.Calib.default_config with Workers.Calib.batch = 8 }
+      ()
+  in
+  let put size =
+    Serve.Registry.upsert registry ~name:"p" (Engine.Pool.of_workers (test_pool size))
+  in
+  let readback () =
+    match Serve.Registry.quality registry ~name:"p" with
+    | Some (rows, version) -> (version, List.length rows)
+    | None -> Alcotest.fail "pool p vanished"
+  in
+  let batch k = List.init 8 (fun w -> calib_vote k w ((k + w) mod 2)) in
+  let report k =
+    match Serve.Registry.report registry ~name:"p" (batch k) with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "report refused"
+  in
+  let first = put 8 in
+  let reporting = Atomic.make true in
+  let reporter =
+    Domain.spawn (fun () ->
+        let replies =
+          List.init 300 (fun k -> ((report k).Serve.Registry.version, readback ()))
+        in
+        Atomic.set reporting false;
+        replies)
+  in
+  let rec putting i acc =
+    if not (Atomic.get reporting) then List.rev acc
+    else begin
+      let size = if i mod 2 = 0 then 12 else 8 in
+      let version = put size in
+      let read = readback () in
+      Thread.delay 0.0002;
+      putting (i + 1) (((version, size), read) :: acc)
+    end
+  in
+  let puts = putting 0 [] in
+  let reports = Domain.join reporter in
+  let rising what versions =
+    ignore
+      (List.fold_left
+         (fun last v ->
+           if v < last then Alcotest.failf "%s: version %d after %d" what v last;
+           v)
+         0 versions)
+  in
+  rising "reports" (List.map fst reports);
+  rising "puts" (List.map (fun ((v, _), _) -> v) puts);
+  (* Puts in rising version order: a version belongs to the last put at or
+     below it. *)
+  let put_sizes = (first, 8) :: List.map fst puts in
+  let size_at version =
+    List.fold_left (fun size (v, s) -> if v <= version then s else size) 0 put_sizes
+  in
+  List.iter
+    (fun (version, rows) ->
+      if rows <> size_at version then
+        Alcotest.failf "quality at version %d has %d rows, its pool %d" version rows
+          (size_at version))
+    (List.map snd reports @ List.map snd puts);
+  let before, _ = readback () in
+  let last = report 300 in
+  Alcotest.(check int) "the last batch is applied" 8 last.applied;
+  Alcotest.(check bool) "a lone step publishes" true (last.version > before)
+
+let lock_rule_tests =
+  [
+    Alcotest.test_case "reads during a recal answered at once" `Quick
+      reads_during_recal_test;
+    Alcotest.test_case "pool-put supersedes a running recal" `Quick
+      put_supersedes_recal_test;
+    Alcotest.test_case "stats during a fleet-submit burst" `Quick
+      stats_during_fleet_burst_test;
+    Alcotest.test_case "report steps against pool-puts" `Quick
+      calibration_stress_test;
+  ]
 
 let inline_read_tests =
   [
@@ -3027,6 +3311,7 @@ let () =
       ("jury memo", memo_tests);
       ("score tables", score_table_tests);
       ("inline reads", inline_read_tests);
+      ("lock rule", lock_rule_tests);
       ("fleet plane", fleet_plane_tests);
       ("stats schema", stats_schema_tests);
       ("pool_io", pool_io_tests);
