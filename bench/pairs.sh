@@ -16,8 +16,11 @@
 # strictly better in the direction BENCHMARK.json names), the same count
 # over quiet pairs only, and whether the medians lie further apart than
 # the parent's quartile spread.  A pair is quiet when neither side's
-# median steal share is above 5%.  Defaults: parent HEAD, cold-solve,
-# seed 4099, 30 s, 10 pairs.
+# median steal share is above 5% and the two sides' median ref_loop
+# times differ by at most 3% (the slower over the faster): steal does
+# not show every change in host speed, and daemonbench throughput
+# follows ref_loop.  Each flagged pair is printed with its reason.
+# Defaults: parent HEAD, cold-solve, seed 4099, 30 s, 10 pairs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,9 +43,11 @@ while [ $# -gt 0 ]; do
   esac
 done
 
-# The steal share above which a pair is flagged and left out of the quiet
-# count.
+# A pair is flagged and left out of the quiet count when either side's
+# steal share is above steal_max, or when one side's ref_loop is more than
+# ref_gap_max slower than the other's.
 steal_max=0.05
+ref_gap_max=0.03
 
 rev=$(git rev-parse --short "$parent^{commit}")
 tree=.bench_tmp/pairs-$rev
@@ -115,7 +120,7 @@ done
 # Per metric: medians and quartiles per side, wins of the change, wins
 # over quiet pairs, and whether the gap between medians exceeds the
 # parent's interquartile range.
-awk -v steal_max="$steal_max" -v pairs="$pairs" '
+awk -v steal_max="$steal_max" -v ref_gap_max="$ref_gap_max" -v pairs="$pairs" '
   FNR == NR {
     if ($0 ~ /"name":/) { name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name) }
     if ($0 ~ /"better":/) { b = $0; sub(/.*"better": "/, "", b); sub(/".*/, "", b); better[name] = b }
@@ -134,13 +139,22 @@ awk -v steal_max="$steal_max" -v pairs="$pairs" '
   END {
     quiet = 0
     for (p = 1; p <= pairs; p++) {
-      loud[p] = v[p, "parent", "steal"] > steal_max || v[p, "change", "steal"] > steal_max
-      if (loud[p])
-        printf "pair %d flagged: steal parent %.4f change %.4f above %s\n", p,
-          v[p, "parent", "steal"], v[p, "change", "steal"], steal_max
+      ps = v[p, "parent", "steal"]; cs = v[p, "change", "steal"]
+      pr = v[p, "parent", "ref_loop"]; cr = v[p, "change", "ref_loop"]
+      gap = (pr > 0 && cr > 0) ? (pr > cr ? pr / cr : cr / pr) - 1 : 0
+      why = ""
+      if (ps > steal_max || cs > steal_max)
+        why = sprintf("steal parent %.4f change %.4f above %s", ps, cs, steal_max)
+      if (gap > ref_gap_max)
+        why = why (why == "" ? "" : "; ") \
+          sprintf("ref_loop parent %.2f ms change %.2f ms, %.1f%% apart (above %g%%)",
+            pr, cr, 100 * gap, 100 * ref_gap_max)
+      loud[p] = why != ""
+      if (loud[p]) printf "pair %d flagged: %s\n", p, why
       else quiet++
     }
-    printf "%d of %d pairs quiet (steal <= %s)\n", quiet, pairs, steal_max
+    printf "%d of %d pairs quiet (steal <= %s, ref_loop within %g%%)\n", quiet, pairs,
+      steal_max, 100 * ref_gap_max
     bad = 0
     for (p = 1; p <= pairs; p++)
       for (s = 0; s < 2; s++) {

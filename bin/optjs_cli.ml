@@ -1576,15 +1576,24 @@ let amt_cmd =
     (Cmd.info "amt" ~doc:"Generate the synthetic AMT dataset and print statistics.")
     Term.(const run $ seed_arg)
 
+(* A [Failure], [Invalid_argument] or [Sys_error] escaping a command is
+   its input refused (lists of different lengths, a quality outside
+   [0, 1], a missing file): it is reported on one line with cmdliner's
+   exit code for a bad command line, as a bad option value is. *)
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
+  let optjs =
+    Cmd.group ~default
+      (Cmd.info "optjs" ~version:Optjs.version
+         ~doc:"Optimal Jury Selection System (EDBT 2015 reproduction).")
+      [
+        jq_cmd; select_cmd; table_cmd; frontier_cmd; online_cmd; estimate_cmd;
+        expt_cmd; amt_cmd; serve_cmd; loadgen_cmd; session_cmd; fleet_cmd;
+        quality_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group ~default
-          (Cmd.info "optjs" ~version:Optjs.version
-             ~doc:"Optimal Jury Selection System (EDBT 2015 reproduction).")
-          [
-            jq_cmd; select_cmd; table_cmd; frontier_cmd; online_cmd;
-            estimate_cmd; expt_cmd; amt_cmd; serve_cmd; loadgen_cmd;
-            session_cmd; fleet_cmd; quality_cmd;
-          ]))
+    (try Cmd.eval ~catch:false optjs with
+    | Failure msg | Invalid_argument msg | Sys_error msg ->
+        prerr_endline ("optjs: " ^ msg);
+        Cmd.Exit.cli_error)

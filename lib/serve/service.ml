@@ -932,13 +932,18 @@ let process t exec (job : job) =
   record t ~shard:exec.shard ~start:job.submitted job.request response;
   job.complete response
 
-(* Annealing solves allocate heavily, and in a multi-domain runtime
-   every minor collection is a stop-the-world handshake across all
-   domains.  A serving executor trades a little memory (32 MB of minor
-   heap per domain) for an order-of-magnitude fewer handshakes — on an
-   overcommitted host the sync cost, not the collection itself, is what
-   collapses multi-domain throughput. *)
-let executor_minor_heap_words = 4 * 1024 * 1024
+(* Annealing solves allocate heavily, and in a multi-domain runtime every
+   minor collection is a stop-the-world handshake across all domains, so
+   an executor's minor heap is 1M words (8 MB), four times the runtime
+   default.  Peak RSS follows how much of that heap is touched between
+   collections, and with replies encoded without [Printf] the event
+   thread starts few of them, so the executor fills most of its heap.
+   Against the 32 MB this replaced, one-domain cold solves peaked at 24
+   instead of 44 MiB, with throughput, p99 and CPU per request inside
+   run-to-run spread (pair by pair about 3% slower); 16 MB peaked at
+   34 MiB with a 12% worse p99, and 2 MB at 18 MiB for 8% more CPU per
+   request (docs/perf.md, "Reply encoding"). *)
+let executor_minor_heap_words = 1024 * 1024
 
 let executor_loop t exec =
   Gc.set { (Gc.get ()) with minor_heap_size = executor_minor_heap_words };

@@ -141,10 +141,48 @@ let valid_name_char c =
 let valid_pool_name s =
   String.length s > 0 && String.length s <= 64 && String.for_all valid_name_char s
 
-(* Shortest decimal rendering that parses back to the same float. *)
+(* ---- floats -------------------------------------------------------- *)
+
+(* The C primitive [Printf.sprintf "%.12g"] ends in, called without the
+   format interpreter: the same bytes for every float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [%.12g] when that parses back to the same float, else [%.17g]. *)
+let render f =
+  let s = format_float "%.12g" f in
+  if float_of_string s = f then s else format_float "%.17g" f
+
+(* Replies repeat the same floats (memo-row scores and costs, a pool
+   version's published quality rows, jq memo values), so renderings are
+   kept in a direct-mapped memo keyed by all 64 bits.  Each slot holds one
+   immutable record and is replaced whole, so a reader on any domain sees
+   the old record or the new one, never a torn pair; an empty slot is
+   [None], since 0.0 has bits 0. *)
+type rendered = { bits : int64; text : string }
+
+let memo_bits = 12
+let memo : rendered option array = Array.make (1 lsl memo_bits) None
+
+(* The top bits of a 64-bit mix (murmur3's finaliser): indexing by the low
+   bits alone would put 0.5, 1.0, 2.0 and every other short-mantissa float
+   in one slot. *)
+let[@inline] slot_of_bits x =
+  let open Int64 in
+  let x = mul (logxor x (shift_right_logical x 33)) 0xff51afd7ed558ccdL in
+  let x = mul (logxor x (shift_right_logical x 33)) 0xc4ceb9fe1a85ec53L in
+  to_int (shift_right_logical x (64 - memo_bits))
+
+let float_slot f = slot_of_bits (Int64.bits_of_float f)
+
 let float_to_string f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  let bits = Int64.bits_of_float f in
+  let i = slot_of_bits bits in
+  match Array.unsafe_get memo i with
+  | Some r when Int64.equal r.bits bits -> r.text
+  | _ ->
+      let text = render f in
+      Array.unsafe_set memo i (Some { bits; text });
+      text
 
 let ( let* ) = Result.bind
 
@@ -237,17 +275,6 @@ let parse_nonempty_list what ~sep parse s =
 let list_to_string ~sep to_string = function
   | [] -> "-"
   | xs -> String.concat sep (List.map to_string xs)
-
-(* Percent-escaping for free-text error messages: anything outside the
-   printable ASCII range, plus '%' and the protocol separators. *)
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if c > ' ' && c < '\x7f' && c <> '%' then Buffer.add_char buf c
-      else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
 
 (* A %-escape is exactly two hex digits. *)
 let hex_digit c =
@@ -394,8 +421,6 @@ let parse_confidence what s =
   if f <= 0. then fail (Printf.sprintf "%s: must be positive" what) else Ok f
 
 (* Optional nonnegative ints ([next=], [decision=]) render None as "-". *)
-let opt_int_to_string = function None -> "-" | Some i -> string_of_int i
-
 let parse_opt_int what s =
   if s = "-" then Ok None else some parse_nonneg_int what s
 
@@ -749,13 +774,7 @@ let session_state_of_string = function
   | "closed" -> Ok Sess_closed
   | s -> fail (Printf.sprintf "unknown session state %S" s)
 
-let ids_to_string ids = list_to_string ~sep:"." string_of_int ids
-
 let parse_ids what s = parse_list what ~sep:'.' (parse_nonneg_int what) s
-
-let row_to_string { budget; ids; quality; required } =
-  Printf.sprintf "%s@%s@%s@%s" (float_to_string budget) (ids_to_string ids)
-    (float_to_string quality) (float_to_string required)
 
 let parse_row what s =
   match String.split_on_char '@' s with
@@ -767,9 +786,6 @@ let parse_row what s =
       Ok { budget; ids; quality; required }
   | _ -> fail (Printf.sprintf "%s: expected budget@ids@quality@required" what)
 
-let entry_to_string (name, version, size) =
-  Printf.sprintf "%s:%d:%d" name version size
-
 let parse_entry what s =
   match String.split_on_char ':' s with
   | [ name; version; size ] ->
@@ -779,81 +795,155 @@ let parse_entry what s =
       Ok (name, version, size)
   | _ -> fail (Printf.sprintf "%s: expected name:version:size" what)
 
-let stat_to_string (key, value) = key ^ "=" ^ float_to_string value
+(* A reply is written into one buffer per call, sized from the reply, with
+   no format interpreter and no intermediate strings; each arm adds its
+   fields in wire order.  The buffer is the call's own: [Service.submit]
+   runs on systhreads, and two systhreads of one domain can interleave
+   inside one encode. *)
 
-let encode_response = function
-  | Pong -> "ok pong"
+let add = Buffer.add_string
+let add_char = Buffer.add_char
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int b n = if n >= 0 then add_digits b n else add b (string_of_int n)
+let add_float b f = add b (float_to_string f)
+let add_flag b v = add_char b (if v then '1' else '0')
+
+(* [sep] before each element. *)
+let rec add_rest b sep add_x = function
+  | [] -> ()
+  | x :: rest ->
+      add_char b sep;
+      add_x b x;
+      add_rest b sep add_x rest
+
+(* Elements joined by [sep]; "-" for the empty list. *)
+let add_list b sep add_x = function
+  | [] -> add_char b '-'
+  | x :: rest ->
+      add_x b x;
+      add_rest b sep add_x rest
+
+let add_ids b ids = add_list b '.' add_int ids
+let add_opt_int b = function None -> add_char b '-' | Some i -> add_int b i
+
+let add_row b { budget; ids; quality; required } =
+  add_float b budget; add_char b '@';
+  add_ids b ids; add_char b '@';
+  add_float b quality; add_char b '@';
+  add_float b required
+
+let add_entry b (name, version, size) =
+  add b name; add_char b ':'; add_int b version; add_char b ':'; add_int b size
+
+let add_quality_row b (id, quality, seen) =
+  add_int b id; add_char b ':'; add_float b quality; add_char b ':'; add_int b seen
+
+let add_stat b (key, value) =
+  add b key; add_char b '='; add_float b value
+
+(* Percent-escaping for free-text error messages: anything outside the
+   printable ASCII range, plus '%' and the protocol separators. *)
+let add_escaped b s =
+  String.iter
+    (fun c ->
+      if c > ' ' && c < '\x7f' && c <> '%' then add_char b c
+      else begin
+        add_char b '%';
+        add_char b "0123456789ABCDEF".[Char.code c lsr 4];
+        add_char b "0123456789ABCDEF".[Char.code c land 15]
+      end)
+    s
+
+(* Bytes to reserve: a kind's usual fixed part and a typical width per list
+   element, so few replies regrow. *)
+let reply_capacity = function
+  | Table_result rows -> 16 + (48 * List.length rows)
+  | Quality_result { workers; _ } -> 48 + (28 * List.length workers)
+  | Pool_entries entries -> 16 + (24 * List.length entries)
+  | Stats_result stats -> 16 + (32 * List.length stats)
+  | Select_result { ids; _ } | Fleet_task { jury = ids; _ } ->
+      96 + (4 * List.length ids)
+  | Error { message; _ } -> 32 + String.length message
+  | _ -> 192
+
+let encode_response r =
+  let b = Buffer.create (reply_capacity r) in
+  (match r with
+  | Pong -> add b "ok pong"
   | Jq_result { value; error_bound; n } ->
-      Printf.sprintf "ok jq value=%s bound=%s n=%d" (float_to_string value)
-        (float_to_string error_bound) n
+      add b "ok jq value="; add_float b value;
+      add b " bound="; add_float b error_bound;
+      add b " n="; add_int b n
   | Select_result { ids; score; cost } ->
-      Printf.sprintf "ok select ids=%s score=%s cost=%s" (ids_to_string ids)
-        (float_to_string score) (float_to_string cost)
-  | Table_result rows ->
-      Printf.sprintf "ok table rows=%s" (list_to_string ~sep:";" row_to_string rows)
+      add b "ok select ids="; add_ids b ids;
+      add b " score="; add_float b score;
+      add b " cost="; add_float b cost
+  | Table_result rows -> add b "ok table rows="; add_list b ';' add_row rows
   | Pool_info { name; version; size } ->
-      Printf.sprintf "ok pool name=%s version=%d size=%d" name version size
-  | Pool_entries entries ->
-      Printf.sprintf "ok pools list=%s"
-        (list_to_string ~sep:"," entry_to_string entries)
-  | Stats_result stats ->
-      if stats = [] then "ok stats"
-      else "ok stats " ^ String.concat " " (List.map stat_to_string stats)
+      add b "ok pool name="; add b name;
+      add b " version="; add_int b version;
+      add b " size="; add_int b size
+  | Pool_entries entries -> add b "ok pools list="; add_list b ',' add_entry entries
+  | Stats_result stats -> add b "ok stats"; add_rest b ' ' add_stat stats
   | Session_result
-      {
-        pool;
-        task;
-        state;
-        posterior;
-        votes;
-        spent;
-        next;
-        advice;
-        decision;
-        certified;
-        reason;
-      } ->
-      Printf.sprintf
-        "ok session pool=%s task=%s state=%s posterior=%s votes=%d spent=%s \
-         next=%s advice=%s decision=%s certified=%d reason=%s"
-        pool task
-        (session_state_to_string state)
-        (prior_to_string posterior) votes (float_to_string spent)
-        (opt_int_to_string next) (ids_to_string advice)
-        (opt_int_to_string decision)
-        (if certified then 1 else 0)
+      { pool; task; state; posterior; votes; spent; next; advice; decision; certified; reason }
+    ->
+      add b "ok session pool="; add b pool;
+      add b " task="; add b task;
+      add b " state="; add b (session_state_to_string state);
+      add b " posterior="; add_list b ',' add_float posterior;
+      add b " votes="; add_int b votes;
+      add b " spent="; add_float b spent;
+      add b " next="; add_opt_int b next;
+      add b " advice="; add_ids b advice;
+      add b " decision="; add_opt_int b decision;
+      add b " certified="; add_flag b certified;
+      add b " reason=";
+      add b
         (match reason with
         | None -> "-"
         | Some r -> Session.Stopping.reason_to_string r)
   | Report_result { name; version; applied; pending; drifted; stale; recals } ->
-      Printf.sprintf
-        "ok report name=%s version=%d applied=%d pending=%d drifted=%s \
-         stale=%d recals=%d"
-        name version applied pending (ids_to_string drifted)
-        (if stale then 1 else 0)
-        recals
+      add b "ok report name="; add b name;
+      add b " version="; add_int b version;
+      add b " applied="; add_int b applied;
+      add b " pending="; add_int b pending;
+      add b " drifted="; add_ids b drifted;
+      add b " stale="; add_flag b stale;
+      add b " recals="; add_int b recals
   | Quality_result { name; version; workers } ->
-      let worker_to_string (id, q, seen) =
-        Printf.sprintf "%d:%s:%d" id (float_to_string q) seen
-      in
-      Printf.sprintf "ok quality name=%s version=%d workers=%s" name version
-        (list_to_string ~sep:"," worker_to_string workers)
+      add b "ok quality name="; add b name;
+      add b " version="; add_int b version;
+      add b " workers="; add_list b ',' add_quality_row workers
   | Fleet_task { pool; task; jury; score; cost; tier } ->
-      Printf.sprintf "ok fleet-task pool=%s task=%s jury=%s score=%s cost=%s tier=%d"
-        pool task (ids_to_string jury) (float_to_string score)
-        (float_to_string cost) tier
+      add b "ok fleet-task pool="; add b pool;
+      add b " task="; add b task;
+      add b " jury="; add_ids b jury;
+      add b " score="; add_float b score;
+      add b " cost="; add_float b cost;
+      add b " tier="; add_int b tier
   | Fleet_summary { pool; version; epoch; tasks; assigned; claimed; priced; aggregate }
     ->
-      Printf.sprintf
-        "ok fleet-summary pool=%s version=%d epoch=%d tasks=%d assigned=%d \
-         claimed=%d priced=%d aggregate=%s"
-        pool version epoch tasks assigned claimed priced
-        (float_to_string aggregate)
+      add b "ok fleet-summary pool="; add b pool;
+      add b " version="; add_int b version;
+      add b " epoch="; add_int b epoch;
+      add b " tasks="; add_int b tasks;
+      add b " assigned="; add_int b assigned;
+      add b " claimed="; add_int b claimed;
+      add b " priced="; add_int b priced;
+      add b " aggregate="; add_float b aggregate
   | Fleet_released { pool; task; freed } ->
-      Printf.sprintf "ok fleet-released pool=%s task=%s freed=%d" pool task freed
+      add b "ok fleet-released pool="; add b pool;
+      add b " task="; add b task;
+      add b " freed="; add_int b freed
   | Error { code; message } ->
-      Printf.sprintf "err %s message=%s" (error_code_to_string code)
-        (escape message)
+      add b "err "; add b (error_code_to_string code);
+      add b " message="; add_escaped b message);
+  Buffer.contents b
 
 let decode_ok_response kind fields =
   match kind with

@@ -248,7 +248,19 @@ val decode_request : string -> (request, string) result
     {!Jq.Bucket.default_num_buckets}, 42); all other fields of a verb are
     mandatory, unknown or duplicate keys are errors.  Never raises. *)
 
+val float_to_string : float -> string
+(** How every float goes on the wire: [%.12g] when that parses back to the
+    same float, else [%.17g].  Renderings are memoized by bit pattern in a
+    fixed table shared by all domains. *)
+
+val float_slot : float -> int
+(** The memo slot that keeps a float's rendering, for tests that force
+    floats to share one. *)
+
 val encode_response : response -> string
+(** One line, without the trailing newline, written into a buffer of its
+    own. *)
+
 val decode_response : string -> (response, string) result
 (** Inverse of {!encode_response} (used by clients: load generator,
     integration tests).  Never raises. *)

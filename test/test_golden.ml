@@ -30,7 +30,8 @@
    also replayed with its order-independent requests submitted all at
    once into queues too small to hold them on one shard: spill and work
    stealing must not move a reply either.  Last, every line of both
-   transcripts seeds a mutation fuzzer for the codec. *)
+   transcripts seeds a mutation fuzzer for the codec, and every reply must
+   also be what the Printf encoder in [Oracle.Wire] writes. *)
 
 module Wire = Serve.Wire
 
@@ -262,6 +263,21 @@ let test_fuzz () =
     lines;
   Alcotest.(check string) "decode digest" fuzz_digest (Digest.to_hex !digest)
 
+(* Every recorded reply, decoded, encodes to its line both through the
+   service's encoder and through the Printf encoder it replaced. *)
+let test_oracle () =
+  List.iter
+    (fun (_, path) ->
+      List.iter
+        (fun (_, line) ->
+          match Wire.decode_response line with
+          | Error e -> Alcotest.failf "%s does not decode: %s" line e
+          | Ok reply ->
+              Alcotest.(check string) "oracle" line (Oracle.Wire.encode_response reply);
+              Alcotest.(check string) "encoder" line (Wire.encode_response reply))
+        (exchanges (read_lines path)))
+    transcripts
+
 (* Alcotest pads every suite name to the longest one and cuts a case name
    at 80 columns, so suite names longer than "replies" would cut the
    replay names short.  *)
@@ -287,5 +303,9 @@ let () =
               (Printf.sprintf "solver verbs sent together at %d domains" domains)
               `Quick (test_spill_replay ~domains))
           [ 2; 4 ] );
-      ("codec", [ Alcotest.test_case "mutated transcript lines" `Quick test_fuzz ]);
+      ( "codec",
+        [
+          Alcotest.test_case "mutated transcript lines" `Quick test_fuzz;
+          Alcotest.test_case "replies encode as the Printf oracle" `Quick test_oracle;
+        ] );
     ]

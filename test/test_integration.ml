@@ -149,6 +149,39 @@ let test_csv_pool_through_jsp () =
   let r = Optjs.select_jury_exact ~alpha:0.5 ~budget:15. pool in
   check_close 1e-6 "figure-1 answer from CSV" 0.845 r.Jsp.Solver.score
 
+(* ---- The command line refuses bad input on one line ------------------------ *)
+
+(* Runs the built CLI, a dependency of this test, and returns its exit code
+   and what it wrote to stderr. *)
+let run_cli args =
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process "../bin/optjs_cli.exe"
+      (Array.of_list ("optjs" :: args))
+      Unix.stdin null err_w
+  in
+  Unix.close err_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> (code, err)
+  | _ -> Alcotest.fail "optjs_cli did not exit"
+
+let test_cli_input_errors () =
+  List.iter
+    (fun (args, message) ->
+      let code, err = run_cli args in
+      Alcotest.(check string) (String.concat " " args) ("optjs: " ^ message ^ "\n") err;
+      check_int "exit code (cmdliner's cli_error)" 124 code)
+    [
+      ( [ "select"; "-b"; "3"; "-q"; "0.7,0.8"; "-c"; "1" ],
+        "qualities and costs must have the same length" );
+      ([ "jq"; "-q"; "0.7,1.8" ], "Bucket.estimate: quality outside [0, 1]");
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -174,5 +207,8 @@ let () =
             test_online_with_full_pool_matches_bv_jq;
         ] );
       ( "io",
-        [ Alcotest.test_case "CSV pool through JSP" `Quick test_csv_pool_through_jsp ] );
+        [
+          Alcotest.test_case "CSV pool through JSP" `Quick test_csv_pool_through_jsp;
+          Alcotest.test_case "CLI input errors exit 124" `Quick test_cli_input_errors;
+        ] );
     ]

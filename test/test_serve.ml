@@ -244,6 +244,14 @@ let response_gen =
 
 (* ---- wire codec ----------------------------------------------------- *)
 
+(* Any 64-bit pattern, NaN payloads and subnormals included. *)
+let bits_gen =
+  QCheck2.Gen.(
+    map2
+      (fun hi lo ->
+        Int64.(logor (shift_left (of_int hi) 32) (logand (of_int lo) 0xFFFF_FFFFL)))
+      int int)
+
 let codec_props =
   [
     qtest "request round-trips" ~print:Wire.encode_request request_gen
@@ -265,12 +273,7 @@ let codec_props =
         in
         List.hd tokens = Wire.verb request && pool = Wire.pool request);
     qtest ~count:1000 "every finite float renders inside the number grammar"
-      QCheck2.Gen.(
-        map2
-          (fun hi lo ->
-            Int64.(logor (shift_left (of_int hi) 32) (logand (of_int lo) 0xFFFF_FFFFL)))
-          int int)
-      (fun bits ->
+      bits_gen (fun bits ->
         let f = Int64.float_of_bits bits in
         (not (Float.is_finite f))
         ||
@@ -395,6 +398,127 @@ let codec_units =
         Alcotest.(check bool) "space" false (Wire.valid_pool_name "a b");
         Alcotest.(check bool) "long" false
           (Wire.valid_pool_name (String.make 65 'a')));
+  ]
+
+(* ---- reply encoding -------------------------------------------------- *)
+
+(* [Oracle.Wire] is the Printf encoder that the buffer writer and the float
+   memo replaced: every reply and every float must keep its bytes. *)
+
+let renders_as_oracle f = Wire.float_to_string f = Oracle.Wire.float_to_string f
+
+(* [k] floats that share [f]'s memo slot: probabilities like the ones
+   replies carry, or any bit pattern. *)
+let slot_mates rng f k =
+  let slot = Wire.float_slot f in
+  let rec draw acc n =
+    if n = k then acc
+    else
+      let g =
+        if Random.State.bool rng then Random.State.float rng 1.
+        else Int64.float_of_bits (Random.State.bits64 rng)
+      in
+      if Wire.float_slot g = slot then draw (g :: acc) (n + 1) else draw acc n
+  in
+  draw [] 0
+
+(* Runs first in the suite, while most memo slots are still empty: an
+   empty slot must not answer for 0.0, whose bits are 0. *)
+let test_special_floats () =
+  let specials =
+    [
+      0.; -0.; infinity; neg_infinity; nan; -.nan; Float.min_float; Float.max_float;
+      -.Float.max_float; Float.epsilon; 0.1; 0.5; 1.; 2.; 1. /. 3.; 1e21; 1e-7;
+      123456789012.; 1234567890123.;
+    ]
+    @ List.map Int64.float_of_bits
+        [
+          1L (* least subnormal *); 0x000F_FFFF_FFFF_FFFFL (* greatest *);
+          0x8000_0000_0000_0001L; 0x7FF0_0000_0000_0001L (* signalling NaN *);
+          0x7FF8_0000_0000_0001L; 0xFFF8_0000_0000_0001L; 0x7FFF_FFFF_FFFF_FFFFL;
+        ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun f ->
+      let mates = slot_mates rng f 2 in
+      (* Cold, warm, after its slot was taken, and back. *)
+      List.iter
+        (fun g ->
+          if not (renders_as_oracle g) then
+            Alcotest.failf "%h renders as %S, not %S" g (Wire.float_to_string g)
+              (Oracle.Wire.float_to_string g))
+        ((f :: f :: mates) @ [ f ]))
+    specials
+
+(* Three spawned domains and the test's own render floats that share one
+   slot, so each keeps replacing the record the others read. *)
+let test_memo_across_domains () =
+  let rng = Random.State.make [| 23 |] in
+  let floats = Array.of_list (0.62 :: slot_mates rng 0.62 7) in
+  let expected = Array.map Oracle.Wire.float_to_string floats in
+  let render d () =
+    let wrong = ref 0 in
+    for i = 0 to 99_999 do
+      let j = ((i * (d + 1)) + d) mod Array.length floats in
+      if Wire.float_to_string floats.(j) <> expected.(j) then incr wrong
+    done;
+    !wrong
+  in
+  let spawned = List.init 3 (fun d -> Domain.spawn (render (d + 1))) in
+  let wrong = render 0 () + List.fold_left (fun n d -> n + Domain.join d) 0 spawned in
+  Alcotest.(check int) "renderings unlike the oracle's" 0 wrong
+
+(* Minor words per reply byte over 100 encodes, after two warm-up calls. *)
+let words_per_byte reply =
+  let bytes = String.length (Wire.encode_response reply) in
+  ignore (Wire.encode_response reply);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Wire.encode_response reply))
+  done;
+  (Gc.minor_words () -. before) /. 100. /. float_of_int bytes
+
+let test_reply_allocation () =
+  let rng = Random.State.make [| 4099 |] in
+  let quality =
+    Wire.Quality_result
+      {
+        name = "warm0";
+        version = 12;
+        workers =
+          List.init 40 (fun id ->
+              (id, 0.4 +. Random.State.float rng 0.55, Random.State.int rng 400));
+      }
+  and select =
+    Wire.Select_result
+      { ids = [ 2; 5; 11; 17; 23; 31; 38 ]; score = 0.93187; cost = 14.732 }
+  in
+  List.iter
+    (fun (what, reply) ->
+      let w = words_per_byte reply in
+      if w > 1. then Alcotest.failf "%s reply: %.2f minor words per byte" what w)
+    [ ("quality", quality); ("select", select) ]
+
+let encoding_tests =
+  [
+    Alcotest.test_case "special floats render as the oracle" `Quick test_special_floats;
+    qtest "replies encode as the oracle" ~print:Oracle.Wire.encode_response
+      response_gen (fun r -> Wire.encode_response r = Oracle.Wire.encode_response r);
+    qtest ~count:2000 "floats render as the oracle" bits_gen (fun bits ->
+        let f = Int64.float_of_bits bits in
+        renders_as_oracle f && renders_as_oracle f);
+    qtest ~count:50 "floats sharing a slot render as the oracle"
+      QCheck2.Gen.(pair bits_gen nat)
+      (fun (bits, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let f = Int64.float_of_bits bits in
+        let floats = Array.of_list (f :: slot_mates rng f 4) in
+        List.for_all
+          (fun _ -> renders_as_oracle floats.(Random.State.int rng 5))
+          (List.init 200 Fun.id));
+    Alcotest.test_case "one slot raced by four domains" `Quick test_memo_across_domains;
+    Alcotest.test_case "at most a minor word per reply byte" `Quick test_reply_allocation;
   ]
 
 (* ---- registry -------------------------------------------------------- *)
@@ -3299,6 +3423,7 @@ let stats_schema_tests =
 let () =
   Alcotest.run "serve"
     [
+      ("reply encoding", encoding_tests);
       ("wire codec properties", codec_props);
       ("wire codec cases", codec_units);
       ("registry", registry_tests);
