@@ -25,7 +25,9 @@ bench:
 # engine rows at l = 2, 3, 5 (BENCH_multiclass.json), whose l = 2 select
 # over symmetric 2x2 matrices must stay within 5% of the same pool given
 # as scalars (the matrices must lower onto the binary fast path); then
-# short gated serving rows at 1/2/4 domains (BENCH_serve.json) — the gate fails on
+# gated serving rows at 1/2/4 domains (BENCH_serve.json), 3 s each (the
+# default row length; at 1 s the 4-domain row sometimes collapsed on a
+# 2-core host) — the gate fails on
 # any request error or on multi-domain speedup below the core-aware
 # threshold (1.3 with >= 2 cores, 0.8 parity floor on 1 core); then the
 # gated flat-vs-hashtbl kernel grid (BENCH_jq.json), which fails unless
@@ -43,11 +45,13 @@ bench:
 # assignment beats the independent-greedy baseline on aggregate JQ with
 # zero non-overlap violations, delta-submit p95 under 50 ms, and a
 # single-decide delta re-solve >= 5x faster than a cold full
-# re-allocation.
+# re-allocation.  The quality and fleet runs are --fast, so they write
+# BENCH_quality.fast.json and BENCH_fleet.fast.json (gitignored): only
+# bench-quality and bench-fleet rewrite the committed records.
 bench-smoke:
 	dune exec bench/main.exe -- fig7b --reps 1 --smoke
 	dune exec bench/main.exe -- --multiclass
-	dune exec bench/serve_bench.exe -- --fast --gate
+	dune exec bench/serve_bench.exe -- --seconds 3 --gate
 	dune exec bench/jq_bench.exe -- --fast --gate
 	dune exec bench/session_bench.exe -- --fast --gate
 	dune exec bench/quality_bench.exe -- --fast --gate
@@ -87,16 +91,16 @@ bench-session: build
 # Streaming calibration vs the static registration: AMT replay matching
 # the offline Dawid-Skene fit, spammer-onset flagging latency, live
 # re-selection accuracy against the stale standing jury, and report-verb
-# ingest latency, written to BENCH_quality.json.  --gate as in
-# bench-smoke.
+# ingest latency, written to the committed BENCH_quality.json.  --gate
+# as in bench-smoke.
 bench-quality: build
 	dune exec bench/quality_bench.exe -- --gate
 
 # Price-based shared-pool fleet allocation at 1k and 10k concurrent
 # tasks: bulk throughput, aggregate JQ vs the independent-greedy
 # baseline, delta-path latency quantiles and the single-decide delta vs
-# cold-full re-solve ratio, written to BENCH_fleet.json.  --gate as in
-# bench-smoke.
+# cold-full re-solve ratio, written to the committed BENCH_fleet.json.
+# --gate as in bench-smoke.
 bench-fleet: build
 	dune exec bench/fleet_bench.exe -- --gate
 
@@ -133,4 +137,5 @@ serve-smoke: build
 clean:
 	dune clean
 	rm -f BENCH_jsp.json BENCH_serve.json BENCH_multiclass.json \
-	  BENCH_jq.json BENCH_session.json BENCH_quality.json BENCH_fleet.json
+	  BENCH_jq.json BENCH_session.json BENCH_quality.fast.json \
+	  BENCH_fleet.fast.json

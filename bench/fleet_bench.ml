@@ -21,7 +21,9 @@
                p95 stays under 50 ms, and the delta re-solve is >= 5x
                faster than the cold full re-allocation
 
-   Results are dumped as BENCH_fleet.json. *)
+   Results are dumped as BENCH_fleet.json, the committed record; a --fast
+   run writes BENCH_fleet.fast.json instead, so a smoke run leaves the
+   record alone. *)
 
 let pool_size = 200
 let submit_p95_gate_ns = 50e6
@@ -143,10 +145,12 @@ let row_json r =
 let () =
   let sizes = ref [ 1_000; 10_000 ] in
   let churn = ref 200 in
+  let out = ref "BENCH_fleet.json" in
   let gate = ref false in
   let rec parse = function
     | [] -> ()
     | "--fast" :: rest ->
+        out := "BENCH_fleet.fast.json";
         sizes := [ 1_000; 2_000 ];
         churn := 60;
         parse rest
@@ -161,7 +165,7 @@ let () =
     Printf.sprintf "{\"pool_size\": %d, \"rows\": [\n%s\n]}" pool_size
       (String.concat ",\n" (List.map row_json rows))
   in
-  let oc = open_out "BENCH_fleet.json" in
+  let oc = open_out !out in
   output_string oc json;
   output_char oc '\n';
   close_out oc;

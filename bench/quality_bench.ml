@@ -28,7 +28,9 @@
                - the re-selected jury scores at least the stale one, and
                - ingest p95 stays under the latency bound.
 
-   Results are dumped as BENCH_quality.json. *)
+   Results are dumped as BENCH_quality.json, the committed record; a
+   --fast run writes BENCH_quality.fast.json instead, so a smoke run
+   leaves the record alone. *)
 
 module Wire = Serve.Wire
 
@@ -281,10 +283,12 @@ let () =
   let n_tasks = ref 600 in
   let eval_tasks = ref 2000 in
   let reports = ref 40 in
+  let out = ref "BENCH_quality.json" in
   let gate = ref false in
   let rec parse = function
     | [] -> ()
     | "--fast" :: rest ->
+        out := "BENCH_quality.fast.json";
         n_tasks := 150;
         eval_tasks := 800;
         reports := 15;
@@ -314,7 +318,7 @@ let () =
       r.empirical_error d.votes_to_flag d.window d.recals d.static_accuracy
       d.live_accuracy d.eval_tasks l.p50 l.p95 l.p99 l.reports
   in
-  let oc = open_out "BENCH_quality.json" in
+  let oc = open_out !out in
   output_string oc json;
   output_char oc '\n';
   close_out oc;

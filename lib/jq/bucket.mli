@@ -12,7 +12,9 @@
     cells (offset-indexed, ping-pong buffers from a {!Workspace}), grown
     one worker at a time; pruning (Algorithm 2) settles keys whose sign
     the remaining workers can no longer change, and in the dense kernel
-    becomes index-range clamping of the scan window.
+    becomes index-range clamping of the scan window.  Every key holding
+    mass has the parity of the bucket sum so far, so the dense kernel's
+    scans step over every other cell.
 
     Guarantees (§4.4, verified by property tests): ĴQ ≤ JQ and
     JQ − ĴQ < e^(nδ/4) − 1 — under 1% for numBuckets ≥ 200·n.

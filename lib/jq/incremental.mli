@@ -8,8 +8,9 @@
     folds one worker in (one array pass), {!remove_worker} deconvolves one
     back out (also one pass — the per-worker DP step is a linear
     convolution with kernel [{+b ↦ q, −b ↦ 1−q}], which is invertible for
-    q ≠ 0.5), and {!value} reads an estimate maintained during those
-    passes in O(1).
+    q ≠ 0.5 and b > 0), and {!value} reads an estimate maintained during
+    those passes in O(1).  Every key holding mass has the parity of Σbᵢ,
+    so each pass visits only the Σbᵢ + 1 keys of that parity.
 
     One deliberate difference from {!Bucket}: the bucket width is fixed up
     front from the global logit cap φ(0.99) rather than the jury's own
@@ -22,7 +23,8 @@
     drift is caught by a mass-renormalization check after each
     deconvolution, plus a periodic full rebuild from the tracked worker
     multiset, so a long add/remove stream (the annealing hot path) cannot
-    degrade silently. *)
+    degrade silently.  A member whose bucket is 0 only scaled the map, so
+    its removal marks the map for a rebuild at the next {!value}. *)
 
 type t
 (** Mutable accumulator over an implicit jury multiset. *)
@@ -38,7 +40,9 @@ val add_worker : t -> float -> unit
     @raise Invalid_argument for a quality outside [0, 1]. *)
 
 val remove_worker : t -> float -> unit
-(** Take one worker of the given quality back out of the jury, in O(span).
+(** Take one worker of the given quality back out of the jury, in one pass
+    over the keys of the live parity (a bucket-0 member: a rebuild at the
+    next {!value} instead).
     Qualities q and 1−q are the same member after reinterpretation.
     @raise Invalid_argument for a quality outside [0, 1], or when no member
     of that (reinterpreted) quality is currently in the jury. *)

@@ -920,6 +920,241 @@ let test_buckets_for_error_clamp () =
   check_bool "bound met at the returned count" true
     (Jq.Bounds.additive_bound ~upper:5. ~num_buckets:b ~n:10 <= 0.01)
 
+(* ---- Parity-strided kernels against the full-scan oracle ----------------- *)
+
+(* Both binary kernels skip the keys of the parity no mass can reach; every
+   float they produce must still be the one the full scans of
+   [Oracle.Bucket] and [Oracle.Incremental] produce, to the bit. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let fixed_upper = Prob.Log_space.logit 0.99
+
+(* Every branch of both kernels: coins, sub-0.5 qualities (reinterpreted),
+   near-coins that land in bucket 0 at [num_buckets] fixed-width buckets and
+   ordinary qualities; with [specials], also certain members (0 and 1) and
+   members above the 0.99 cap, which send most juries down a shortcut and
+   so are drawn only in some cases. *)
+let kernel_quality_gen ~specials ~num_buckets =
+  let bucket0 = fixed_upper /. (2. *. float_of_int num_buckets) in
+  let special = if specials then 1 else 0 in
+  QCheck2.Gen.(
+    frequency
+      [
+        (special, return 0.);
+        (special, return 1.);
+        (2 * special, Qgen.float_in 0.99 1.);
+        (2, return 0.5);
+        (3, map (fun u -> 1. /. (1. +. exp (-.u))) (Qgen.float_in 1e-9 bucket0));
+        (4, Qgen.float_in 0.01 0.5);
+        (12, Qgen.float_in 0.5 0.99);
+      ])
+
+let specials_gen = QCheck2.Gen.frequencyl [ (1, true); (2, false) ]
+
+(* Priors: none (0.5), degenerate, near-coin (a bucket-0 pseudo-worker),
+   ordinary, and above the cap. *)
+let kernel_alpha_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, return 0.5);
+        (1, return 0.);
+        (1, return 1.);
+        (1, Qgen.float_in 0.4999 0.5001);
+        (6, Qgen.float_in 0. 1.);
+        (1, Qgen.float_in 0.99 1.);
+      ])
+
+let same_stats (a : Jq.Bucket.stats) (b : Jq.Bucket.stats) =
+  same_bits a.value b.value && same_bits a.upper b.upper
+  && same_bits a.delta b.delta
+  && same_bits a.error_bound b.error_bound
+  && a.max_map_size = b.max_map_size
+  && a.pruned_pairs = b.pruned_pairs
+
+let bucket_matches_oracle ~count ~num_buckets name =
+  qtest ~count name
+    QCheck2.Gen.(
+      pair num_buckets specials_gen >>= fun (num_buckets, specials) ->
+      jury_gen ~max:60 (kernel_quality_gen ~specials ~num_buckets:100)
+      >>= fun qs ->
+      map
+        (fun (alpha, (pruning, high_quality_shortcut)) ->
+          (num_buckets, qs, alpha, pruning, high_quality_shortcut))
+        (pair kernel_alpha_gen (pair bool bool)))
+    (fun (num_buckets, qs, alpha, pruning, high_quality_shortcut) ->
+      same_stats
+        (Jq.Bucket.estimate_stats ~num_buckets ~pruning ~high_quality_shortcut
+           ~alpha qs)
+        (Oracle.Bucket.estimate_stats ~num_buckets ~pruning
+           ~high_quality_shortcut ~alpha qs))
+
+let test_bucket_matches_oracle =
+  bucket_matches_oracle ~count:300 ~num_buckets:(QCheck2.Gen.int_range 1 800)
+    "Bucket.estimate_stats bitwise equal to the full-scan oracle"
+
+(* The annealer's operations: add, remove, reset, and its swap probe
+   (remove [out], add [into], read the value, then keep the swap or undo
+   it).  Indices pick among the current members. *)
+type kernel_op =
+  | Add of float
+  | Remove of int
+  | Reset
+  | Probe of int * float * bool
+
+let kernel_op_gen ~specials ~num_buckets =
+  let q = kernel_quality_gen ~specials ~num_buckets in
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun q -> Add q) q);
+        (2, map (fun i -> Remove i) nat);
+        (1, return Reset);
+        (10, map3 (fun i q keep -> Probe (i, q, keep)) nat q bool);
+      ])
+
+(* Applies [ops] to a production and an oracle accumulator in lockstep and
+   compares every observable after every op.  An op marked quiet skips the
+   value read, because reading rebuilds a stale map: quiet runs let adds
+   and removes meet a map that a bucket-0 or certain removal left stale. *)
+let incremental_agrees ~num_buckets ~alpha ops =
+  let t = Jq.Incremental.create ~num_buckets ~alpha () in
+  let o = Oracle.Incremental.create ~num_buckets ~alpha () in
+  let members = ref [] in
+  let add q =
+    Jq.Incremental.add_worker t q;
+    Oracle.Incremental.add_worker o q;
+    members := q :: !members
+  in
+  let remove q =
+    Jq.Incremental.remove_worker t q;
+    Oracle.Incremental.remove_worker o q;
+    let rec drop = function
+      | [] -> []
+      | x :: rest -> if x = q then rest else x :: drop rest
+    in
+    members := drop !members
+  in
+  let pick i = List.nth !members (i mod List.length !members) in
+  let agree ~read =
+    ((not read)
+    || same_bits (Jq.Incremental.value t) (Oracle.Incremental.value o))
+    && same_bits (Jq.Incremental.error_bound t) (Oracle.Incremental.error_bound o)
+    && Jq.Incremental.size t = Oracle.Incremental.size o
+    && Jq.Incremental.coins t = Oracle.Incremental.coins o
+    && Jq.Incremental.rebuilds t = Oracle.Incremental.rebuilds o
+  in
+  List.for_all
+    (fun (op, read) ->
+      (match op with
+      | Add q -> add q
+      | Remove i -> if !members <> [] then remove (pick i)
+      | Reset ->
+          Jq.Incremental.reset t;
+          Oracle.Incremental.reset o;
+          members := []
+      | Probe (i, into, keep) ->
+          if !members = [] then add into
+          else begin
+            let out = pick i in
+            remove out;
+            add into;
+            ignore (Jq.Incremental.value t);
+            ignore (Oracle.Incremental.value o);
+            if not keep then begin
+              remove into;
+              add out
+            end
+          end);
+      agree ~read)
+    ops
+  && agree ~read:true
+
+let incremental_matches_oracle ~count ~num_buckets name =
+  qtest ~count name
+    QCheck2.Gen.(
+      pair num_buckets specials_gen >>= fun (num_buckets, specials) ->
+      triple (return num_buckets) kernel_alpha_gen
+        (list_size (int_range 1 150)
+           (pair
+              (kernel_op_gen ~specials ~num_buckets)
+              (frequencyl [ (3, true); (1, false) ]))))
+    (fun (num_buckets, alpha, ops) -> incremental_agrees ~num_buckets ~alpha ops)
+
+let test_incremental_matches_oracle =
+  incremental_matches_oracle ~count:300
+    ~num_buckets:(QCheck2.Gen.oneofl [ 3; 7; 50; 100; 400 ])
+    "Incremental add/remove/reset/probe bitwise equal to the full-scan oracle"
+
+(* One or two buckets: nearly every member's bucket is odd, so the live
+   parity flips with almost every add and remove. *)
+let test_parity_flips_match_oracle =
+  [
+    bucket_matches_oracle ~count:300 ~num_buckets:(QCheck2.Gen.int_range 1 2)
+      "Bucket.estimate_stats at 1-2 buckets bitwise equal to the oracle";
+    incremental_matches_oracle ~count:300 ~num_buckets:(QCheck2.Gen.int_range 1 2)
+      "Incremental at 1-2 buckets bitwise equal to the oracle";
+  ]
+
+(* Removing a bucket-0 member cannot be deconvolved (the step is the
+   identity up to mass), so it leaves the map stale: the next read rebuilds
+   once, and value and rebuild count are the full-scan oracle's. *)
+let test_incremental_bucket0_removal () =
+  let num_buckets = 100 in
+  let t = Jq.Incremental.create ~num_buckets ~alpha:0.6 () in
+  let o = Oracle.Incremental.create ~num_buckets ~alpha:0.6 () in
+  let both f g = f t; g o in
+  List.iter
+    (fun q -> both (fun t -> Jq.Incremental.add_worker t q) (fun o -> Oracle.Incremental.add_worker o q))
+    [ 0.8; 0.503; 0.7; 0.66 ];
+  let before = Jq.Incremental.rebuilds t in
+  check_bool "value before" true
+    (same_bits (Jq.Incremental.value t) (Oracle.Incremental.value o));
+  both (fun t -> Jq.Incremental.remove_worker t 0.503)
+    (fun o -> Oracle.Incremental.remove_worker o 0.503);
+  check_bool "value after the bucket-0 removal" true
+    (same_bits (Jq.Incremental.value t) (Oracle.Incremental.value o));
+  check_int "rebuilds" (Oracle.Incremental.rebuilds o) (Jq.Incremental.rebuilds t);
+  check_int "one rebuild" (before + 1) (Jq.Incremental.rebuilds t)
+
+(* A deconvolution leaves round-off residues in cells no jury can reach;
+   removing the dominant member next puts some of them among the lowest
+   keys of [deconvolve], above the new support, where nothing may be
+   written or summed. *)
+let test_incremental_dominant_removal () =
+  List.iter
+    (fun (num_buckets, jury, mid, top) ->
+      let t = Jq.Incremental.create ~num_buckets () in
+      let o = Oracle.Incremental.create ~num_buckets () in
+      List.iter
+        (fun q ->
+          Jq.Incremental.add_worker t q;
+          Oracle.Incremental.add_worker o q)
+        jury;
+      List.iter
+        (fun q ->
+          Jq.Incremental.remove_worker t q;
+          Oracle.Incremental.remove_worker o q)
+        [ mid; top ];
+      check_bool "value" true
+        (same_bits (Jq.Incremental.value t) (Oracle.Incremental.value o));
+      check_int "rebuilds" (Oracle.Incremental.rebuilds o)
+        (Jq.Incremental.rebuilds t))
+    [
+      ( 400,
+        [ 0.95553398772262166; 0.69247539603233288; 0.90305608697919915 ],
+        0.90305608697919915,
+        0.95553398772262166 );
+      ( 50,
+        [
+          0.92351407708898381; 0.664875741368398; 0.5107116557234761;
+          0.6694042139002736; 0.68132382524589885;
+        ],
+        0.68132382524589885,
+        0.92351407708898381 );
+    ]
+
 (* ---- Monte-Carlo JQ ------------------------------------------------------- *)
 
 let test_monte_carlo_converges () =
@@ -1083,6 +1318,14 @@ let () =
             test_incremental_error_bound_semantics;
           Alcotest.test_case "buckets_for_error clamp" `Quick test_buckets_for_error_clamp;
         ] );
+      ( "oracle",
+        [
+          test_bucket_matches_oracle;
+          test_incremental_matches_oracle;
+          Alcotest.test_case "bucket-0 removal" `Quick test_incremental_bucket0_removal;
+          Alcotest.test_case "dominant removal" `Quick test_incremental_dominant_removal;
+        ]
+        @ test_parity_flips_match_oracle );
       ( "monte_carlo",
         [
           Alcotest.test_case "converges" `Slow test_monte_carlo_converges;
